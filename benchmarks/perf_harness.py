@@ -381,7 +381,7 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int,
     shard_framed = [[] for _ in range(num_shards)]
     for update, framed in zip(updates, all_framed):
         shard_framed[serial_server.shard_of(update.key)].append(framed)
-    worker_results = [_fold_shard_frames(None, False, framed)
+    worker_results = [_fold_shard_frames("fedavg", framed)
                       for framed in shard_framed if framed]
     merge_model = MoETransformer(config)
 
@@ -400,7 +400,7 @@ def _bench_shard_fold(updates, num_shards: int, iters: int, reps: int,
     for shard, framed in enumerate(shard_framed):
         if framed:
             fns[f"job{shard}"] = {
-                "fold": lambda framed=framed: _fold_shard_frames(None, False, framed)}
+                "fold": lambda framed=framed: _fold_shard_frames("fedavg", framed)}
     if num_shards > 1:
         pooled_server = ShardedParameterServer(MoETransformer(config),
                                                num_shards=num_shards)
@@ -463,7 +463,7 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int, pool) -> Dict:
 
     def leaf_fold():
         tree.reset_round_metrics()
-        tree._fold_leaf_tier(iter(updates), None, None, codec)
+        tree._fold_leaf_tier(iter(updates), "fedavg", None, codec)
 
     fns = {
         "serial_wire": {"fold": serial_wire},
@@ -474,7 +474,7 @@ def _bench_tree_fold(updates, tiers, iters: int, reps: int, pool) -> Dict:
     for node, framed in sorted(node_framed.items()):
         fns[f"job{node}"] = {
             "fold": lambda node=node, framed=framed: _prefold_node_frames(
-                None, tree.pseudo_id(0, node), framed)}
+                "fedavg", tree.pseudo_id(0, node), framed)}
 
     times = _interleaved_best_times(fns, iters, reps)
     serial_s = times["serial_wire"]["fold"]
@@ -583,7 +583,7 @@ def run_aggregation_suite(quick: bool) -> Dict:
     model, updates = _make_aggregation_updates(participants)
     pool = AggregationPool()
     try:
-        pool.prefold_nodes(None, [(0, -1, [])])  # spawn workers outside the timings
+        pool.prefold_nodes("fedavg", [(0, -1, [])])  # spawn workers outside the timings
         shards = {str(n): _bench_shard_fold(updates, n, iters, reps, pool)
                   for n in AGG_SHARD_COUNTS}
         tree = {"x".join(map(str, tiers)): _bench_tree_fold(updates, tiers, iters,
@@ -966,10 +966,10 @@ def _bench_service_fold(updates, num_shards: int, iters: int, reps: int,
             frame_update(update))
     jobs = sorted(shard_framed.items())
 
-    fns = {"pooled": {"fold": lambda: pooled_pool.fold_shards(None, False, jobs)}}
+    fns = {"pooled": {"fold": lambda: pooled_pool.fold_shards("fedavg", jobs)}}
     for transport, pool in service_pools.items():
         fns[f"service_{transport}"] = {
-            "fold": lambda pool=pool: pool.fold_shards(None, False, jobs)}
+            "fold": lambda pool=pool: pool.fold_shards("fedavg", jobs)}
     times = _interleaved_best_times(fns, iters, reps)
     pooled_s = times["pooled"]["fold"]
     result = {
@@ -1016,7 +1016,7 @@ def _bench_service_tree(updates, tiers, iters: int, reps: int, pooled_pool,
         for tier in range(len(tiers)):
             jobs = [(node, tree.pseudo_id(tier, node), node_frames)
                     for node, node_frames in sorted(current.items())]
-            folded = pool.prefold_nodes(None, jobs)
+            folded = pool.prefold_nodes("fedavg", jobs)
             fan_in = tiers[tier + 1] if tier + 1 < len(tiers) else 1
             current = {}
             for node, partials in folded:
@@ -1044,10 +1044,11 @@ def _bench_service_wire_bytes(updates, num_shards: int) -> Dict:
 
     Deterministic byte accounting, not a timing: every update is stamped with
     the topk:int4 wire frame the transport would deliver (encoded against a
-    shared per-key reference, which the wire mode ships once per shard job in
-    the flush body), then one identical ``fold_shards`` round runs on an
-    fp64-interchange pool and a ``wire_frames`` pool and the client transport
-    counters are compared.  ``bytes_ratio_wire_vs_fp64`` is the gated cost.
+    shared per-key reference, which ships once per shard job in the flush
+    body), then one ``fold_shards`` round runs with those frames forwarded
+    verbatim and one with every update explicitly re-framed as fp64, and the
+    client transport counters are compared.  ``bytes_ratio_wire_vs_fp64`` is
+    the gated cost.
     """
     from repro.comm import encode_update, get_codec
     from repro.federated import ShardedParameterServer
@@ -1071,21 +1072,21 @@ def _bench_service_wire_bytes(updates, num_shards: int) -> Dict:
         update.wire_codec = codec.name
         update.wire_reference = references[update.key]
 
+    fp64 = get_codec("fp64")
+
     def measure(wire: bool) -> int:
-        pool = ServiceAggregationPool(num_shards, transport="socketpair",
-                                      wire_frames=wire)
+        pool = ServiceAggregationPool(num_shards, transport="socketpair")
         try:
             shard_framed: Dict[int, list] = {}
             shard_refs: Dict[int, dict] = {}
             for update in updates:
                 shard = router.shard_of(update.key)
-                refs = shard_refs.setdefault(shard, {}) if wire else None
                 shard_framed.setdefault(shard, []).append(
-                    frame_update(update, references=refs))
-            jobs = [(shard, shard_framed[shard]) if not shard_refs.get(shard)
-                    else (shard, shard_framed[shard], shard_refs[shard])
+                    frame_update(update, references=shard_refs.setdefault(shard, {}))
+                    if wire else frame_update(update, codec=fp64))
+            jobs = [(shard, shard_framed[shard], shard_refs.get(shard, {}))
                     for shard in sorted(shard_framed)]
-            pool.fold_shards(None, False, jobs)
+            pool.fold_shards("fedavg", jobs)
             return sum(client.stats["bytes_sent"] for client in pool._clients)
         finally:
             pool.close()
@@ -1125,9 +1126,9 @@ def run_service_suite(quick: bool) -> Dict:
                      for transport in SERVICE_TRANSPORTS}
     try:
         # Spawn workers and servers outside the timings.
-        pooled.prefold_nodes(None, [(0, -1, [])])
+        pooled.prefold_nodes("fedavg", [(0, -1, [])])
         for pool in service_pools.values():
-            pool.prefold_nodes(None, [(0, -1, [])])
+            pool.prefold_nodes("fedavg", [(0, -1, [])])
         shards = {str(n): _bench_service_fold(updates, n, iters, reps,
                                               pooled, service_pools)
                   for n in SERVICE_SHARD_COUNTS}
@@ -1163,8 +1164,7 @@ def run_service_suite(quick: bool) -> Dict:
                  "math.  tree is the same ratio over a full depth-3 tree "
                  "fold with inner tiers routed through the plane; "
                  "wire_bytes compares service bytes for fp64 re-encode vs "
-                 "verbatim compressed-frame forwarding "
-                 "(service_codec='wire').  rpc.ping_s is one "
+                 "verbatim compressed-frame forwarding.  rpc.ping_s is one "
                  "request/response round trip.  On a single-CPU loopback "
                  "host the wall ratios are scheduler-noise-dominated "
                  "(~±10% run to run; nothing overlaps, so pipelining can "
@@ -1278,7 +1278,7 @@ def _build_telemetry_tuner(telemetry_dir: Optional[str]):
     run_config = RunConfig(
         batch_size=4, max_local_batches=1, learning_rate=1e-2,
         eval_max_samples=12, seed=0, participants_per_round=6,
-        num_shards=2, num_edge_aggregators=2, transport="wire",
+        num_shards=2, edge_tiers=(2,), transport="wire",
         telemetry=telemetry_dir is not None, telemetry_dir=telemetry_dir)
     return FMDFineTuner(server, participants, test, cost_models=cost_models,
                         config=run_config)

@@ -6,7 +6,7 @@ away from the flat defaults:
 * **4 expert shards** (:class:`~repro.federated.ShardedParameterServer`): the
   server's ``ExpertKey`` space is partitioned round-robin, each shard folding
   its own streaming aggregator — bit-identical parameters, sharded state.
-* **2-tier aggregation** (``num_edge_aggregators=3``): participants upload to
+* **2-tier aggregation** (``edge_tiers=(3,)``): participants upload to
   edge aggregators, which pre-fold their group's updates and forward one
   wire-framed partial aggregate per expert over a metered edge→root channel.
   The per-round backhaul traffic surfaces as ``RoundResult.edge_bytes``.
@@ -91,7 +91,7 @@ def topology_config(checkpoint_dir: str | None = None, **overrides) -> RunConfig
         eval_max_samples=24, seed=0, participants_per_round=6,
         # --- the aggregation topology ---
         num_shards=4,
-        num_edge_aggregators=3,
+        edge_tiers=(3,),
         edge_latency_s=0.01,
         aggregation="trimmed_mean",
         trim_ratio=0.2,
@@ -109,7 +109,6 @@ def three_tier_parallel_config(checkpoint_dir: str | None = None,
     """The 3-tier tree with the fold plane behind the process pool."""
     return topology_config(
         checkpoint_dir,
-        num_edge_aggregators=0,            # superseded by the explicit tiers
         edge_tiers=(3, 2),                 # participants -> 3 edges -> 2 super-edges -> root
         aggregation_executor="process",    # pooled shard folds + tier-0 pre-folds
         aggregation_workers=2,

@@ -67,7 +67,7 @@ KILL_AT_ROUND = 3  # after the round-2 snapshot, before the run completes
 #: (``checkpoint_every`` here overrides the matrix-wide default cadence)
 CONFIGS = {
     "sharded-edges": dict(
-        num_shards=2, num_edge_aggregators=2,
+        num_shards=2, edge_tiers=(2,),
         aggregation="trimmed_mean", trim_ratio=0.2,
     ),
     "pooled-tree": dict(
@@ -76,7 +76,7 @@ CONFIGS = {
         aggregation_executor="process", aggregation_workers=2,
     ),
     "delta-chain": dict(
-        num_shards=2, num_edge_aggregators=2,
+        num_shards=2, edge_tiers=(2,),
         aggregation="trimmed_mean", trim_ratio=0.2,
         checkpoint_every=1, checkpoint_delta_every=4, checkpoint_async=True,
     ),

@@ -83,8 +83,8 @@ from .data import (
     partition_iid,
 )
 from .federated import (
+    AggregationTree,
     FederatedFineTuner,
-    HierarchicalTopology,
     ParameterServer,
     Participant,
     ParticipantResources,
@@ -164,7 +164,7 @@ __all__ = [
     "ParticipantResources",
     "ParameterServer",
     "ShardedParameterServer",
-    "HierarchicalTopology",
+    "AggregationTree",
     "get_strategy",
     "available_strategies",
     "FederatedFineTuner",

@@ -9,7 +9,7 @@ length-prefixed framing (:mod:`~repro.comm.stream`), and how to fold decoded
 updates into a constant-memory running average
 (:mod:`~repro.comm.aggregator`).  The federated stack selects a codec and
 transport via :class:`~repro.federated.RunConfig` (``codec=``,
-``transport="wire"``, ``streaming_aggregation=True``).
+``transport="wire"``); every server-side fold streams.
 """
 
 from .aggregator import StreamingAggregator, finalize_weighted_sum, fold_weighted_state

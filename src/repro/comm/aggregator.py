@@ -1,16 +1,11 @@
 """Constant-memory streaming aggregation of expert updates.
 
-The buffered FedAvg path keeps every client's update alive until the round
-closes — O(clients) server memory.  :class:`StreamingAggregator` instead folds
-each update into a per-expert accumulator the moment it arrives; under the
-default FedAvg strategy the accumulator is a running weighted sum, so peak
-server memory is one update plus the running sums, independent of how many
-clients contributed.
-
-Bit-identity with the buffered path is guaranteed structurally:
-:func:`repro.federated.aggregation.fedavg_states` is implemented on top of the
-same :func:`fold_weighted_state` / :func:`finalize_weighted_sum` pair, folding
-in the same arrival order.
+:class:`StreamingAggregator` folds each update into a per-expert accumulator
+the moment it arrives; under the default FedAvg strategy the accumulator is a
+running weighted sum (:func:`fold_weighted_state` /
+:func:`finalize_weighted_sum`), so peak server memory is one update plus the
+running sums, independent of how many clients contributed.  Every server,
+pool worker and aggregation-service fold runs through it.
 
 The aggregator is strategy-aware (:mod:`repro.federated.strategies`): pass a
 strategy name or instance and every expert key folds through that strategy's
@@ -78,11 +73,9 @@ class StreamingAggregator:
     """Folds expert updates one at a time into per-expert accumulators.
 
     ``strategy`` selects the per-expert reduction
-    (:mod:`repro.federated.strategies`); ``None`` is weighted FedAvg, whose
-    fold is bit-identical to the historical implementation.  Unlike the
-    buffered path, all-zero FedAvg weights cannot fall back to a uniform
-    average (the individual states are gone by finalize time); feeding only
-    zero-weight updates for a key raises at :meth:`finalize`.
+    (:mod:`repro.federated.strategies`); the ``None`` default is weighted
+    FedAvg.  Feeding only zero-weight FedAvg updates for a key raises at
+    :meth:`finalize`.
     """
 
     def __init__(self, strategy=None,
@@ -212,8 +205,7 @@ class StreamingAggregator:
 
         ``skip_unfinalizable=True`` silently drops keys whose accumulator
         cannot produce a result — under FedAvg, keys that received only
-        zero-weight contributions (the states are gone, so no uniform-mean
-        fallback is possible) — instead of raising.
+        zero-weight contributions — instead of raising.
         """
         return {key: acc.finalize() for key, acc in self._accs.items()
                 if not skip_unfinalizable or getattr(acc, "finalizable", True)}

@@ -1,6 +1,6 @@
 """Federated learning substrate: clients, servers, aggregation topology, round loop."""
 
-from .aggregation import ExpertKey, ExpertUpdate, apply_fedavg, fedavg_states, group_updates
+from .aggregation import ExpertKey, ExpertUpdate
 from .client import LocalTrainResult, Participant, ParticipantResources
 from .communication import ExchangePlan, bytes_per_param_for_bits
 from .privacy import GaussianMechanism, epsilon_estimate
@@ -30,7 +30,6 @@ from .topology import (
     CallableGrouping,
     CostAwareGrouping,
     GroupingPolicy,
-    HierarchicalTopology,
     RoundRobinGrouping,
     make_topology,
 )
@@ -38,9 +37,6 @@ from .topology import (
 __all__ = [
     "ExpertKey",
     "ExpertUpdate",
-    "fedavg_states",
-    "group_updates",
-    "apply_fedavg",
     "Participant",
     "ParticipantResources",
     "LocalTrainResult",
@@ -63,7 +59,6 @@ __all__ = [
     "strategy_from_config",
     "staleness_discount",
     "AggregationTree",
-    "HierarchicalTopology",
     "GroupingPolicy",
     "RoundRobinGrouping",
     "CostAwareGrouping",

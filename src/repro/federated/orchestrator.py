@@ -1,8 +1,9 @@
 """The federated fine-tuning orchestration shared by Flux and all baselines.
 
 :class:`FederatedFineTuner` owns everything common to every method: the hooks
-one participant round implements, FedAvg aggregation, simulated-time accounting
-and per-round evaluation.  Concrete methods (Flux, FMD, FMQ, FMES) implement a
+one participant round implements, aggregation through the configured strategy
+(weighted FedAvg by default), shards and aggregator tiers, simulated-time
+accounting and per-round evaluation.  Concrete methods (Flux, FMD, FMQ, FMES) implement a
 single hook — :meth:`FederatedFineTuner.participant_round` — that runs one
 participant's local work and returns its expert updates plus a cost breakdown.
 
@@ -82,7 +83,6 @@ class RunConfig:
     # --- comm: wire transport (repro.comm)
     transport: str = "analytic"              # "analytic" | "wire"
     codec: Optional[str] = None              # wire codec tag; None = method default
-    streaming_aggregation: bool = False      # fold updates server-side as they arrive
     channel_loss_prob: float = 0.0           # wire: per-payload loss probability
     channel_corrupt_prob: float = 0.0        # wire: per-payload corruption probability
     #: wire: per-payload link latency folded into the *measured* airtime
@@ -97,17 +97,13 @@ class RunConfig:
     #: produce staleness-0 updates, so "staleness_fedavg" only discounts when
     #: a custom scheduler (or direct ``server.aggregate`` use) stamps
     #: ``ExpertUpdate.staleness``; with scheduler="async" it is rejected (the
-    #: async scheduler already pre-discounts weights).  Any explicit strategy
-    #: also bypasses the buffered FedAvg path's all-zero-weight uniform
-    #: fallback (streaming accumulators raise instead).
+    #: async scheduler already pre-discounts weights).
     aggregation: str = "fedavg"
     trim_ratio: float = 0.1                  # trimmed_mean: fraction trimmed per side
     num_shards: int = 1                      # expert shards at the root server
-    num_edge_aggregators: int = 0            # edge tier size (0 = flat, single tier)
     #: aggregator-tier widths, participant-facing first: ``(6, 2)`` is
-    #: participants → 6 edges → 2 super-edges → root.  ``None`` derives a
-    #: single tier from ``num_edge_aggregators`` (the legacy knob; if both are
-    #: set they must agree on the first tier's width).
+    #: participants → 6 edges → 2 super-edges → root; ``(4,)`` is one edge
+    #: tier.  ``None`` is the flat single-tier server.
     edge_tiers: Optional[Sequence[int]] = None
     #: participant→edge assignment: "cost_aware" greedy-bin-packs on each
     #: participant's upload cost when cost models exist (falling back to
@@ -137,14 +133,6 @@ class RunConfig:
     #: write one append-mode log file per spawned TCP server under this
     #: directory (``scripts/service_smoke.py`` uploads it on CI failure)
     service_log_dir: Optional[str] = None
-    #: codec of fold payloads on the service wire: "fp64" re-encodes every
-    #: update as a lossless fp64 frame (the default); "wire" forwards the
-    #: round's *original* codec frames verbatim — the servers decode exactly
-    #: the bytes the serial path decoded, so results stay bit-identical while
-    #: compressed rounds (e.g. ``codec="topk:0.25:int4"``) ship a fraction of
-    #: the fp64 bytes (each delta-codec key's fp64 reference ships once per
-    #: fold job; raw in-memory partials still travel as fp64)
-    service_codec: str = "fp64"
     #: OP_ADD chunks in flight per connection before the client waits for an
     #: acknowledgement (1 = the fully synchronous legacy request/response;
     #: larger windows pipeline the round's uploads, hiding per-request RTT —
@@ -212,18 +200,11 @@ class RunConfig:
             raise ValueError("trim_ratio must be in [0, 0.5)")
         if self.num_shards < 1:
             raise ValueError("num_shards must be positive")
-        if self.num_edge_aggregators < 0:
-            raise ValueError("num_edge_aggregators must be non-negative")
         if self.edge_tiers is not None:
             tiers = tuple(int(width) for width in self.edge_tiers)
             if not tiers or any(width < 1 for width in tiers):
                 raise ValueError(
                     "edge_tiers must be a non-empty sequence of positive widths")
-            if self.num_edge_aggregators and self.num_edge_aggregators != tiers[0]:
-                raise ValueError(
-                    f"edge_tiers[0]={tiers[0]} disagrees with "
-                    f"num_edge_aggregators={self.num_edge_aggregators}; set one "
-                    "(or make them match)")
             self.edge_tiers = tiers
         if self.edge_grouping not in ("cost_aware", "round_robin"):
             raise ValueError(f"unknown edge grouping {self.edge_grouping!r}")
@@ -243,10 +224,6 @@ class RunConfig:
             raise ValueError("service_retry_delay_s must be non-negative")
         if self.service_timeout_s <= 0.0:
             raise ValueError("service_timeout_s must be positive")
-        if self.service_codec not in ("fp64", "wire"):
-            raise ValueError(
-                f"unknown service codec {self.service_codec!r} "
-                "(expected 'fp64' or 'wire')")
         if self.service_window < 1:
             raise ValueError("service_window must be positive")
         if self.checkpoint_every < 0:
@@ -259,15 +236,6 @@ class RunConfig:
             raise ValueError("checkpoint_delta_every must be non-negative")
         if self.telemetry and not self.telemetry_dir:
             raise ValueError("telemetry=True requires telemetry_dir")
-
-    @property
-    def resolved_edge_tiers(self) -> Tuple[int, ...]:
-        """Aggregator-tier widths (``()`` = flat): ``edge_tiers`` or the legacy knob."""
-        if self.edge_tiers is not None:
-            return tuple(self.edge_tiers)
-        if self.num_edge_aggregators >= 1:
-            return (self.num_edge_aggregators,)
-        return ()
 
 
 @dataclass
@@ -367,10 +335,9 @@ class FederatedFineTuner(abc.ABC):
         self._legacy_scheduler = None
         self._legacy_scheduler_key = None
         self._channels: Dict[int, object] = {}
-        # --- aggregation topology: strategy, expert shards, edge tier.
-        # With the defaults (fedavg / 1 shard / 0 edges) every hook below is a
-        # pass-through and the behaviour is bit-identical to the flat legacy
-        # path.
+        # --- aggregation topology: strategy, expert shards, edge tiers.
+        # With the defaults (fedavg / 1 shard / no tiers) the server folds
+        # every update itself.
         from ..runtime.executor import make_aggregation_pool
         from .server import ShardedParameterServer
         from .strategies import strategy_from_config
@@ -561,19 +528,15 @@ class FederatedFineTuner(abc.ABC):
         """
         from ..comm import ChannelStats
 
-        streaming = self.config.streaming_aggregation
         tracer = self.telemetry.tracer
-        with tracer.span("aggregate", category="fold",
-                         streaming=streaming) as span:
+        with tracer.span("aggregate", category="fold") as span:
             if self.topology is not None:
                 contributions, edge_stats = self.topology.aggregate(
-                    self.server, updates, streaming=streaming,
-                    strategy=self.aggregation_strategy,
+                    self.server, updates, strategy=self.aggregation_strategy,
                     pool=self._aggregation_pool, tracer=tracer)
             else:
                 contributions = self.server.aggregate(
-                    updates, streaming=streaming,
-                    strategy=self.aggregation_strategy)
+                    updates, strategy=self.aggregation_strategy)
                 edge_stats = ChannelStats()
             span.set(num_keys=len(contributions),
                      num_updates=sum(contributions.values()))

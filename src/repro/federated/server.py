@@ -15,7 +15,9 @@ Two server flavours share one interface:
     global parameters — sharding changes *where* state lives, not the math.
 
 Both accept a pluggable :class:`~repro.federated.strategies.AggregationStrategy`
-(default: weighted FedAvg, bit-identical to the historical hardwired path).
+(default: weighted FedAvg).  Every aggregation folds each update into its
+shard's accumulator as it arrives, so under FedAvg peak server memory is one
+update plus the running sums, whatever the number of clients.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from ..comm import ScratchPool, StreamingAggregator
 from ..models import MoETransformer
-from .aggregation import ExpertKey, ExpertUpdate, apply_fedavg
+from .aggregation import ExpertKey, ExpertUpdate
+from .strategies import get_strategy
 
 
 class ParameterServer:
@@ -34,24 +37,21 @@ class ParameterServer:
 
     The server never sees raw data: participants upload expert parameter
     states (plus scalar statistics such as utilities), and download refreshed
-    expert parameters at the start of the next round.  Aggregation runs either
-    buffered (the legacy FedAvg path, which keeps every update alive) or
-    *streaming* (``streaming=True``): each update folds into a per-expert
-    accumulator as it arrives, so peak server memory under FedAvg is one
-    update plus the running sums — O(1) in the number of clients — while
-    producing bit-identical averages.  ``strategy`` (a name or an
+    expert parameters at the start of the next round.  Each update folds
+    into a per-expert accumulator as it arrives.  ``strategy`` (a name or an
     :class:`~repro.federated.strategies.AggregationStrategy`) replaces the
-    FedAvg reduction with e.g. a coordinate-wise trimmed mean or median.
+    default FedAvg reduction with e.g. a coordinate-wise trimmed mean or
+    median.
     """
 
     #: flat servers own the whole key space
     num_shards: int = 1
 
-    def __init__(self, global_model: MoETransformer, strategy=None) -> None:
+    def __init__(self, global_model: MoETransformer, strategy="fedavg") -> None:
         from ..obs import NULL_TRACER
 
         self.global_model = global_model
-        self.strategy = strategy
+        self.strategy = get_strategy(strategy)
         self.round_index = 0
         #: number of contributions each expert received over the whole run
         self.contribution_counts: Dict[ExpertKey, int] = {}
@@ -109,27 +109,20 @@ class ParameterServer:
         return contributions
 
     def aggregate(self, updates: Iterable[ExpertUpdate],
-                  streaming: bool = False, strategy=None) -> Dict[ExpertKey, int]:
+                  strategy=None) -> Dict[ExpertKey, int]:
         """Aggregate the received expert updates into the global model.
 
-        With ``streaming=True`` the updates iterable is consumed one element
-        at a time through per-shard
-        :class:`~repro.comm.StreamingAggregator`'s — pass a generator and no
-        more than one update is ever buffered server-side.  ``strategy``
-        overrides the server's construction-time strategy for this call; the
-        ``None``/FedAvg default keeps the exact legacy arithmetic (including
-        the buffered path's all-zero-weight uniform fallback).
+        The updates iterable is consumed one element at a time through
+        per-shard :class:`~repro.comm.StreamingAggregator`'s — pass a
+        generator and no more than one update is ever buffered server-side
+        (a :attr:`fold_pool` buffers the round's frames instead).
+        ``strategy`` overrides the server's construction-time strategy for
+        this call.  A key whose FedAvg weights sum to zero raises
+        ``ValueError``.
         """
         effective = self._resolve_strategy(strategy)
         if self.fold_pool is not None and self.num_shards > 1:
-            return self._record(self._aggregate_pooled(updates, effective, streaming))
-        if effective is None and not streaming:
-            # The buffered legacy FedAvg path — shared by every shard count so
-            # its all-zero-weight uniform fallback (and bit-exactness) hold on
-            # sharded servers too; per-key folds are independent, so routing
-            # through shard aggregators would change nothing but the fallback.
-            return self._record(apply_fedavg(self.global_model, updates,
-                                             scratch=self.fold_scratch))
+            return self._record(self._aggregate_pooled(updates, effective))
         aggregators = self._make_aggregators(effective)
         for update in updates:
             aggregators[self.shard_of(update.key)].add(update)
@@ -140,35 +133,33 @@ class ParameterServer:
                 contributions.update(aggregator.apply(self.global_model))
         return self._record(contributions)
 
-    def _aggregate_pooled(self, updates: Iterable[ExpertUpdate], strategy,
-                          streaming: bool) -> Dict[ExpertKey, int]:
+    def _aggregate_pooled(self, updates: Iterable[ExpertUpdate],
+                          strategy) -> Dict[ExpertKey, int]:
         """Fold the shards concurrently in :attr:`fold_pool` workers.
 
-        Updates cross the process boundary as lossless fp64 wire frames
-        (plus their in-memory staleness), bucketed by shard in arrival
-        order; each worker mirrors the serial per-shard fold exactly — the
-        legacy buffered FedAvg (uniform zero-weight fallback included) when
-        ``strategy`` is ``None`` and ``streaming`` is off, the strategy's
-        streaming accumulators otherwise — so pooled aggregation is
-        bit-identical to serial (test-enforced).  Pooling buffers one round's
-        frames parent-side, trading streaming's O(1) memory for parallel
-        fold throughput.
+        Updates cross the process boundary as wire frames (plus their
+        in-memory staleness), bucketed by shard in arrival order: an update
+        that arrived over the wire forwards its original codec frame, with
+        one fp64 reference per delta-codec key riding in the shard's job
+        (see :func:`~repro.runtime.executor.frame_update`); anything else is
+        framed as lossless fp64.  Each worker mirrors the serial per-shard
+        fold exactly, so pooled aggregation is bit-identical to serial
+        (test-enforced).  Pooling buffers one round's frames parent-side,
+        trading the serial fold's O(1) memory for parallel fold throughput.
         """
         from ..comm import decode_state_dict
         from ..runtime.executor import frame_update
 
-        collect_refs = bool(getattr(self.fold_pool, "wire_frames", False))
         shard_frames: List[List] = [[] for _ in range(self.num_shards)]
         shard_refs: List[Dict] = [{} for _ in range(self.num_shards)]
         for update in updates:
             shard = self.shard_of(update.key)
-            shard_frames[shard].append(frame_update(
-                update, references=shard_refs[shard] if collect_refs else None))
-        jobs = [(shard, framed, shard_refs[shard]) if shard_refs[shard]
-                else (shard, framed)
+            shard_frames[shard].append(
+                frame_update(update, references=shard_refs[shard]))
+        jobs = [(shard, framed, shard_refs[shard])
                 for shard, framed in enumerate(shard_frames) if framed]
         contributions: Dict[ExpertKey, int] = {}
-        folded = self.fold_pool.fold_shards(strategy, streaming, jobs,
+        folded = self.fold_pool.fold_shards(strategy, jobs,
                                             timed=self.tracer.enabled)
         for record in self.fold_pool.last_span_records:
             self.tracer.ingest(record)
@@ -253,16 +244,14 @@ class ShardedParameterServer(ParameterServer):
 
     Expert keys are assigned round-robin over their flattened
     ``(layer, expert)`` index, so shards stay balanced for any layer shape.
-    Streaming (and non-default-strategy) aggregation routes every update to
-    its key's shard aggregator; the buffered FedAvg default shares the flat
-    server's legacy path, which is already per-key independent.
+    Aggregation routes every update to its key's shard aggregator.
     :attr:`last_shard_contributions` records how many updates each shard
     received in the most recent aggregation (the per-shard load signal a
     deployment would use for re-balancing).
     """
 
     def __init__(self, global_model: MoETransformer, num_shards: int = 1,
-                 strategy=None) -> None:
+                 strategy="fedavg") -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
         super().__init__(global_model, strategy=strategy)
@@ -301,9 +290,8 @@ class ShardedParameterServer(ParameterServer):
                       key=lambda key: self._flat_index[key])
 
     def aggregate(self, updates: Iterable[ExpertUpdate],
-                  streaming: bool = False, strategy=None) -> Dict[ExpertKey, int]:
-        contributions = super().aggregate(updates, streaming=streaming,
-                                          strategy=strategy)
+                  strategy=None) -> Dict[ExpertKey, int]:
+        contributions = super().aggregate(updates, strategy=strategy)
         shard_counts = [0] * self.num_shards
         for key, count in contributions.items():
             shard_counts[self.shard_of(key)] += count
@@ -312,7 +300,7 @@ class ShardedParameterServer(ParameterServer):
 
 
 def make_server(global_model: MoETransformer, config=None,
-                strategy=None) -> ParameterServer:
+                strategy="fedavg") -> ParameterServer:
     """Build the server a :class:`~repro.federated.RunConfig` describes."""
     num_shards = int(getattr(config, "num_shards", 1) or 1) if config is not None else 1
     if num_shards > 1:

@@ -8,10 +8,11 @@ topology — flat server, expert shards, edge aggregators — composes with any 
 them:
 
 ``fedavg``
-    Weighted average, implemented as the exact sequential fold the streaming
-    server path has always used (:func:`~repro.comm.aggregator.fold_weighted_state`
-    / :func:`~repro.comm.aggregator.finalize_weighted_sum`), so selecting it
-    explicitly is bit-identical to the legacy default.
+    Weighted average, a sequential fold in arrival order
+    (:func:`~repro.comm.aggregator.fold_weighted_state` /
+    :func:`~repro.comm.aggregator.finalize_weighted_sum`) — the default, and
+    the only FedAvg implementation: a key whose total weight is not positive
+    raises ``ValueError`` at finalize.
 
 ``trimmed_mean``
     Coordinate-wise trimmed mean (Yin et al.): per scalar coordinate, drop the
@@ -110,7 +111,7 @@ class AggregationStrategy(abc.ABC):
 
 # -------------------------------------------------------------------- fedavg
 class _FoldAccumulator(UpdateAccumulator):
-    """Weighted running sum — the exact streaming-FedAvg arithmetic."""
+    """Weighted running sum: the FedAvg fold."""
 
     def __init__(self, discount: Optional[Callable[[int], float]] = None) -> None:
         super().__init__()
@@ -119,8 +120,7 @@ class _FoldAccumulator(UpdateAccumulator):
 
     @property
     def finalizable(self) -> bool:
-        # A weighted mean needs positive total weight; the individual states
-        # are gone, so all-zero weights cannot fall back to a uniform mean.
+        # A weighted mean needs positive total weight.
         return self.total_weight > 0
 
     def add(self, state: State, weight: float, staleness: int = 0) -> None:
@@ -135,7 +135,7 @@ class _FoldAccumulator(UpdateAccumulator):
 
 
 class FedAvgStrategy(AggregationStrategy):
-    """Weighted FedAvg: the legacy fold, bit-identical to the historical path."""
+    """Weighted FedAvg: the default strategy."""
 
     name = "fedavg"
     foldable = True
@@ -262,7 +262,7 @@ def get_strategy(spec, **kwargs) -> AggregationStrategy:
     return factory(**kwargs)
 
 
-def picklable_strategy(spec) -> Optional[AggregationStrategy]:
+def picklable_strategy(spec) -> AggregationStrategy:
     """Resolve ``spec`` and verify it can cross a process boundary.
 
     Process-pool aggregation (:class:`~repro.runtime.executor.AggregationPool`)
@@ -270,13 +270,10 @@ def picklable_strategy(spec) -> Optional[AggregationStrategy]:
     there, so a strategy's construction-time state (trim ratios, staleness
     exponents, …) must pickle.  All built-in strategies do; a custom strategy
     holding e.g. a lambda or an open handle fails here with a clear error
-    instead of a deep ``concurrent.futures`` traceback.  ``None`` (the legacy
-    FedAvg default) passes through untouched.
+    instead of a deep ``concurrent.futures`` traceback.
     """
     import pickle
 
-    if spec is None:
-        return None
     strategy = get_strategy(spec)
     try:
         pickle.loads(pickle.dumps(strategy))
@@ -288,15 +285,9 @@ def picklable_strategy(spec) -> Optional[AggregationStrategy]:
     return strategy
 
 
-def strategy_from_config(config) -> Optional[AggregationStrategy]:
-    """The strategy a :class:`~repro.federated.RunConfig` selects.
-
-    Returns ``None`` for the default ``"fedavg"`` so the server keeps using
-    its historical (bit-identical, zero-weight-tolerant) FedAvg code paths.
-    """
+def strategy_from_config(config) -> AggregationStrategy:
+    """The strategy a :class:`~repro.federated.RunConfig` selects."""
     name = getattr(config, "aggregation", "fedavg")
-    if name == "fedavg":
-        return None
     if name == "trimmed_mean":
         return TrimmedMeanStrategy(trim_ratio=getattr(config, "trim_ratio", 0.1))
     if name == "staleness_fedavg":

@@ -87,7 +87,11 @@ _RESUMABLE_CONFIG_FIELDS = frozenset(
      "aggregation_executor", "aggregation_workers",
      "service_transport", "service_retry_attempts",
      "service_retry_delay_s", "service_timeout_s", "service_log_dir",
-     "service_codec", "service_window"})
+     "service_window",
+     # retired fields, listed so snapshots written before their removal
+     # stay resumable: the fold is the same whatever they were set to, and
+     # the tree shape is checked via ``edge_tiers`` and the topology snapshot
+     "streaming_aggregation", "num_edge_aggregators", "service_codec"})
 
 
 def _config_snapshot(config) -> Dict:
@@ -98,8 +102,13 @@ def _config_snapshot(config) -> Dict:
     joined ``_RESUMABLE_CONFIG_FIELDS`` stay loadable (the stale key is
     filtered out of both sides of the comparison).
     """
-    items = config.items() if isinstance(config, dict) else asdict(config).items()
-    return {key: value for key, value in items
+    items = dict(config) if isinstance(config, dict) else asdict(config)
+    # snapshots from before ``edge_tiers`` became the only tier spec may
+    # spell a one-tier tree as ``num_edge_aggregators`` alone
+    legacy_edges = items.get("num_edge_aggregators")
+    if legacy_edges and items.get("edge_tiers") is None:
+        items["edge_tiers"] = (int(legacy_edges),)
+    return {key: value for key, value in items.items()
             if key not in _RESUMABLE_CONFIG_FIELDS}
 
 

@@ -102,8 +102,8 @@ def frame_update(update, codec=None, references: Optional[Dict] = None
     weights before transmission); fold workers still need it so the
     ``staleness_fedavg`` strategy discounts exactly as a serial fold would.
     Every producer of pooled fold payloads must pair through here so the
-    convention has exactly one home; :func:`_decode_framed_updates` is the
-    worker-side inverse.
+    convention has exactly one home; :func:`_fold_shard_frames` and
+    :func:`_prefold_node_frames` are its worker-side consumers.
 
     An update that arrived over the wire transport carries its original frame
     (``update.wire_frame``); with no explicit ``codec`` requested that frame
@@ -159,80 +159,16 @@ def _reference_lookup_from(references: Optional[Dict]):
     return lookup
 
 
-def _decode_framed_updates(framed: Sequence[Tuple[bytes, int]],
-                           reference_lookup=None) -> List:
-    """Rebuild updates from :func:`frame_update` pairs in arrival order."""
-    updates = []
-    for frame, staleness in framed:
-        update = decode_update(frame, reference_lookup=reference_lookup)
-        update.staleness = int(staleness)
-        updates.append(update)
-    return updates
-
-
-def _fold_legacy_frames(framed: Sequence[Tuple[bytes, int]],
-                        reference_lookup, scratch
-                        ) -> List[Tuple[Tuple[int, int], bytes, int]]:
-    """The ``None``-strategy buffered FedAvg, restructured as a scratch fold.
-
-    Bit-identical to the historical group-then-``fedavg_states`` fold: each
-    frame decodes (into scratch) and folds immediately, in arrival order,
-    with the identical multiply/add sequence — zero-weight contributions
-    included, whose ``-0.0 + 0.0`` signs depend on fold order.  The only
-    buffered state is the all-zero-weight fallback: while a key's running
-    weight is zero, exact copies of its decoded states are kept so a key
-    whose weights *stay* zero can degrade to the legacy uniform mean; the
-    copies are dropped the moment a positive weight arrives.
-    """
-    from ..comm import finalize_weighted_sum, fold_weighted_state
-    from ..federated.aggregation import fedavg_states
-
-    codec = get_codec(_IPC_CODEC)
-    accs: Dict[Tuple[int, int], Dict] = {}
-    totals: Dict[Tuple[int, int], float] = {}
-    counts: Dict[Tuple[int, int], int] = {}
-    pending: Dict[Tuple[int, int], List[Dict]] = {}
-    for frame, _ in framed:
-        update = decode_update(frame, reference_lookup=reference_lookup,
-                               scratch=scratch)
-        key = update.key
-        acc = accs.get(key)
-        if acc is None:
-            acc = accs[key] = {}
-        fold_weighted_state(acc, update.state, update.weight, scratch=scratch)
-        totals[key] = totals.get(key, 0.0) + float(update.weight)
-        counts[key] = counts.get(key, 0) + 1
-        if totals[key] <= 0:
-            pending.setdefault(key, []).append(
-                {name: np.array(value, dtype=np.float64)
-                 for name, value in update.state.items()})
-        else:
-            pending.pop(key, None)
-        scratch.recycle()
-    out = []
-    for key, acc in accs.items():
-        if totals[key] > 0:
-            state = finalize_weighted_sum(acc, totals[key])
-        else:
-            # the legacy uniform-mean fallback, replayed over the exact copies
-            state = fedavg_states(pending[key], [0.0] * counts[key],
-                                  scratch=scratch)
-        out.append((key, encode_state_dict(state, codec), counts[key]))
-    return out
-
-
-def _fold_shard_frames(strategy, streaming: bool,
+def _fold_shard_frames(strategy,
                        framed: Sequence[Tuple[bytes, int]],
                        references: Optional[Dict] = None,
                        scratch=None
                        ) -> List[Tuple[Tuple[int, int], bytes, int]]:
     """Worker-side: fold one shard's framed updates to per-key aggregates.
 
-    Mirrors the serial server paths exactly: the ``None``-strategy buffered
-    fold is the legacy per-key FedAvg (all-zero-weight uniform fallback
-    included), anything else goes through the strategy's streaming
-    accumulators (whose finalize raises on unfinalizable keys, as serial
-    ``StreamingAggregator.apply`` does).  Returns ``(key, framed aggregated
+    Mirrors the serial server fold exactly: the strategy's accumulators,
+    whose finalize raises on unfinalizable keys as serial
+    ``StreamingAggregator.apply`` does.  Returns ``(key, framed aggregated
     state, contribution count)`` triples; the state travels back as a
     lossless fp64 state-dict frame, so pooled == serial bit-for-bit.
 
@@ -248,8 +184,6 @@ def _fold_shard_frames(strategy, streaming: bool,
     if scratch is None:
         scratch = thread_scratch()
     lookup = _reference_lookup_from(references)
-    if strategy is None and not streaming:
-        return _fold_legacy_frames(framed, lookup, scratch)
     codec = get_codec(_IPC_CODEC)
     aggregator = StreamingAggregator(strategy, scratch=scratch)
     fold_payload = aggregator.fold_payload
@@ -293,12 +227,12 @@ def _tier_of_pseudo_id(pseudo_id: int) -> int:
     return tier_of_pseudo_id(pseudo_id)
 
 
-def _timed_fold_shard(strategy, streaming: bool, framed, shard: int,
+def _timed_fold_shard(strategy, framed, shard: int,
                       references: Optional[Dict] = None):
     """Worker-side: :func:`_fold_shard_frames` plus a fold span record."""
     wall_start = time.time()
     perf_start = time.perf_counter()
-    result = _fold_shard_frames(strategy, streaming, framed, references)
+    result = _fold_shard_frames(strategy, framed, references)
     record = span_record("fold_shard", "fold", wall_start,
                          time.perf_counter() - perf_start,
                          shard=shard, num_updates=len(framed),
@@ -327,20 +261,15 @@ class AggregationPool:
     folds its shards concurrently and
     :class:`~repro.federated.topology.AggregationTree` tier-0 nodes pre-fold
     their subtrees in workers.  All payloads cross the process boundary as
-    lossless fp64 wire frames (exactly the representation a distributed
-    deployment would ship), so pooled aggregation is bit-identical to serial
-    — test-enforced.  The underlying pool is created lazily and survives
-    across rounds; like the participant executor it pickles pool-less, so a
-    fine-tuner holding one can itself be shipped to training workers.
+    wire frames (exactly the representation a distributed deployment would
+    ship; see :func:`frame_update`), so pooled aggregation is bit-identical
+    to serial — test-enforced.  The underlying pool is created lazily and
+    survives across rounds; like the participant executor it pickles
+    pool-less, so a fine-tuner holding one can itself be shipped to training
+    workers.
     """
 
     name = "process"
-
-    #: whether fold dispatch should collect ``needs_reference`` wire frames'
-    #: reference states into the jobs (the service pool's compressed wire
-    #: opts in; process-pool workers share the parent host, so shipping the
-    #: compact frame vs the fp64 re-encode only moves pickle bytes)
-    wire_frames = False
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -366,8 +295,7 @@ class AggregationPool:
 
         return picklable_strategy(strategy)
 
-    def fold_shards(self, strategy, streaming: bool,
-                    jobs: Sequence[Tuple],
+    def fold_shards(self, strategy, jobs: Sequence[Tuple],
                     timed: bool = False
                     ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
         """Fold every shard's framed updates concurrently; results in job order.
@@ -382,7 +310,7 @@ class AggregationPool:
         pool = self._ensure_pool()
         self.last_span_records = []
         if timed:
-            futures = [(job[0], pool.submit(_timed_fold_shard, strategy, streaming,
+            futures = [(job[0], pool.submit(_timed_fold_shard, strategy,
                                             job[1], job[0],
                                             job[2] if len(job) > 2 else None))
                        for job in jobs]
@@ -392,7 +320,7 @@ class AggregationPool:
                 self.last_span_records.append(record)
                 out.append((shard, result))
             return out
-        futures = [(job[0], pool.submit(_fold_shard_frames, strategy, streaming,
+        futures = [(job[0], pool.submit(_fold_shard_frames, strategy,
                                         job[1], job[2] if len(job) > 2 else None))
                    for job in jobs]
         return [(shard, future.result()) for shard, future in futures]
@@ -449,7 +377,6 @@ def make_aggregation_pool(config) -> Optional[AggregationPool]:
             retry_delay_s=getattr(config, "service_retry_delay_s", 0.05),
             timeout_s=getattr(config, "service_timeout_s", 30.0),
             log_dir=getattr(config, "service_log_dir", None),
-            wire_frames=getattr(config, "service_codec", "fp64") == "wire",
             window=getattr(config, "service_window", 8))
     raise ValueError(f"unknown aggregation executor {name!r}")
 

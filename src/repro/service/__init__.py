@@ -20,14 +20,13 @@ in-host tests, TCP for multi-process topologies.  The pieces:
   ``RunConfig(aggregation_executor="service")``.
 
 The service fold plane is bit-identical to the pooled and serial planes
-(same worker fold functions; lossless fp64 interchange by default, or —
-with ``RunConfig(service_codec="wire")`` — the round's original codec
-frames forwarded verbatim with per-job references; test-enforced) and
-survives a hard-killed server mid-round by respawning and replaying the
-round — see the CI ``service-smoke`` lane and ``scripts/service_smoke.py``.
-Connections open with an ``OP_HELLO`` version handshake
-(:data:`PROTOCOL_VERSION`) and ADDs are pipelined in a bounded window
-acknowledged before each flush.
+(same worker fold functions; the round's original codec frames forwarded
+verbatim with per-job references, in-memory updates as lossless fp64;
+test-enforced) and survives a hard-killed server mid-round by respawning and
+replaying the round — see the CI ``service-smoke`` lane and
+``scripts/service_smoke.py``.  Connections open with an ``OP_HELLO``
+version handshake (:data:`PROTOCOL_VERSION`) and ADDs are pipelined in a
+bounded window acknowledged before each flush.
 """
 
 from .client import (

@@ -276,9 +276,7 @@ class ServiceClient:
         return result
 
     @staticmethod
-    def _pickle_strategy(strategy) -> Optional[bytes]:
-        if strategy is None:
-            return None
+    def _pickle_strategy(strategy) -> bytes:
         from ..federated.strategies import picklable_strategy
 
         return pickle.dumps(picklable_strategy(strategy),
@@ -290,10 +288,10 @@ class ServiceClient:
                      ) -> Tuple[List[bytes], Optional[dict]]:
         """Fold one tree node's framed updates into partial frames.
 
-        ``references`` (compressed service wire only) maps ``(layer, expert)``
-        keys to fp64 reference frames for any reference-requiring codec among
-        ``frames``; it rides the flush body — not the ADDs — so a replayed
-        round reships it automatically and the server stores nothing per-token.
+        ``references`` maps ``(layer, expert)`` keys to fp64 reference frames
+        for any reference-requiring codec among ``frames``; it rides the flush
+        body — not the ADDs — so a replayed round reships it automatically and
+        the server stores nothing per-token.
         """
         body = {"strategy": self._pickle_strategy(strategy),
                 "node": int(node), "pseudo_id": int(pseudo_id), "timed": timed}
@@ -301,7 +299,7 @@ class ServiceClient:
             body["references"] = references
         return self._fold_round(frames, OP_FLUSH_NODE, body)
 
-    def fold_shard(self, strategy, streaming: bool, shard: int,
+    def fold_shard(self, strategy, shard: int,
                    frames: Sequence[Tuple[bytes, int]], timed: bool = False,
                    references: Optional[Dict] = None,
                    ) -> Tuple[List[Tuple[Tuple[int, int], bytes, int]],
@@ -311,8 +309,7 @@ class ServiceClient:
         ``references`` semantics match :meth:`prefold_node`.
         """
         body = {"strategy": self._pickle_strategy(strategy),
-                "streaming": bool(streaming), "shard": int(shard),
-                "timed": timed}
+                "shard": int(shard), "timed": timed}
         if references:
             body["references"] = references
         return self._fold_round(frames, OP_FLUSH_SHARD, body)

@@ -34,16 +34,14 @@ externally managed servers and never spawns or shuts down anything);
 loop reached over ``socket.socketpair()`` — the same protocol end-to-end
 with zero network setup, for in-host tests and constrained sandboxes.
 
-Compressed service wire: with ``wire_frames=True`` (from
-``RunConfig(service_codec="wire")``) the callers forward each round's
-*original* codec frames verbatim instead of re-encoding partials to fp64 —
-the pool advertises the mode via its :attr:`wire_frames` attribute, and jobs
-may carry a trailing per-job references dict (fp64 reference frames for
-reference-requiring codecs) that rides the flush body to the server.  The
-server decodes exactly the bytes the serial path would, so bit-identity
-holds by construction while wire bytes shrink to the codec's ratio.  ADDs
-are pipelined client-side in a bounded ``window`` (see
-:mod:`repro.service.client`).
+Compressed service wire: the callers forward each round's *original* codec
+frames verbatim instead of re-encoding them to fp64 (see
+:func:`~repro.runtime.executor.frame_update`), and jobs may carry a trailing
+per-job references dict (fp64 reference frames for reference-requiring
+codecs) that rides the flush body to the server.  The server decodes exactly
+the bytes the serial path would, so bit-identity holds by construction while
+wire bytes shrink to the codec's ratio.  ADDs are pipelined client-side in a
+bounded ``window`` (see :mod:`repro.service.client`).
 
 Observability: with telemetry bound (the orchestrator calls
 :meth:`bind_telemetry`), every fold call drains the per-server transport
@@ -87,7 +85,6 @@ class ServiceAggregationPool:
                  timeout_s: float = 30.0,
                  chunk_frames: int = DEFAULT_CHUNK_FRAMES,
                  window: int = DEFAULT_WINDOW,
-                 wire_frames: bool = False,
                  log_dir: Optional[str] = None) -> None:
         if transport not in TRANSPORTS:
             raise ValueError(f"unknown service transport {transport!r} "
@@ -113,10 +110,6 @@ class ServiceAggregationPool:
         self.timeout_s = float(timeout_s)
         self.chunk_frames = int(chunk_frames)
         self.window = int(window)
-        #: advertised to callers (topology / parameter server): ``True`` asks
-        #: them to forward original codec wire frames + per-job references
-        #: instead of re-encoding partials to fp64 (``service_codec="wire"``)
-        self.wire_frames = bool(wire_frames)
         self.log_dir = log_dir
         #: server-measured fold span records of the most recent ``timed=True``
         #: call (cleared per call) — same contract as ``AggregationPool``
@@ -332,20 +325,19 @@ class ServiceAggregationPool:
         self._publish_metrics()
         return out
 
-    def fold_shards(self, strategy, streaming: bool,
+    def fold_shards(self, strategy,
                     jobs: Sequence[Tuple[int, Sequence[Tuple[bytes, int]]]],
                     timed: bool = False
                     ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
         """Fold every shard's framed updates on its pinned server (job order).
 
-        Jobs are ``(shard, framed)`` or — compressed service wire —
-        ``(shard, framed, references)``.
+        Jobs are ``(shard, framed)`` or ``(shard, framed, references)``.
         """
 
         def run_one(client: ServiceClient, job):
             shard, framed = job[0], job[1]
             result, record = client.fold_shard(
-                strategy, streaming, shard, framed, timed=timed,
+                strategy, shard, framed, timed=timed,
                 references=job[2] if len(job) > 2 else None)
             return shard, result, record
 
@@ -359,8 +351,8 @@ class ServiceAggregationPool:
                       timed: bool = False) -> List[Tuple[int, List[bytes]]]:
         """Pre-fold every tree node's framed updates on its pinned server.
 
-        Jobs are ``(node, pseudo_id, framed)`` or — compressed service wire —
-        ``(node, pseudo_id, framed, references)``.  The pseudo id also names
+        Jobs are ``(node, pseudo_id, framed)`` or ``(node, pseudo_id, framed,
+        references)``.  The pseudo id also names
         the node's tree tier, counted into
         ``repro_service_tier_folds_total{tier=...}`` so inner-tier routing is
         visible in run reports.

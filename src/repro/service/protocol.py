@@ -6,10 +6,10 @@ One service message is one :mod:`repro.comm.stream` frame whose payload is::
 
 ``RWS1`` deliberately parallels the serialization layer's ``RWP1``: the
 *contents* that matter — the expert updates and folded states inside request
-bodies — travel as ordinary ``RWP1`` wire frames (lossless fp64, CRC-checked),
-exactly the bytes the process-pool fold plane ships today; the service layer
-only wraps them in an op byte and a pickled envelope for the RPC bookkeeping
-(round tokens, shard/node ids, strategy).
+bodies — travel as ordinary CRC-checked ``RWP1`` wire frames, exactly the
+bytes the process-pool fold plane ships; the service layer only wraps them in
+an op byte and a pickled envelope for the RPC bookkeeping (round tokens,
+shard/node ids, strategy).
 
 Requests (client → server):
 
@@ -62,8 +62,10 @@ SERVICE_MAGIC = b"RWS1"
 
 #: spoken protocol version, negotiated via ``OP_HELLO``.  v2 added HELLO
 #: itself, per-frame codec validation on ADD, pipelined ADD windows and
-#: per-job reference shipping on flush; the envelope format is unchanged.
-PROTOCOL_VERSION = 2
+#: per-job reference shipping on flush; v3 dropped the ``streaming`` flag
+#: from the ``OP_FLUSH_SHARD`` body and made the strategy mandatory on every
+#: flush.  The envelope format is unchanged.
+PROTOCOL_VERSION = 3
 
 OP_PING = 1
 OP_ADD = 2

@@ -200,8 +200,7 @@ class AggregatorServer:
                 tail = self._validated_pairs(body["frames"])
                 self.stats["frames_added"] += len(tail)
             frames = self._flush_frames(str(body["token"])) + tail
-            strategy = (pickle.loads(body["strategy"])
-                        if body.get("strategy") is not None else None)
+            strategy = pickle.loads(body["strategy"])
             references = body.get("references")
             wall_start = time.time()
             perf_start = time.perf_counter()
@@ -215,8 +214,7 @@ class AggregatorServer:
                     "tier": tier_of_pseudo_id(pseudo_id)}
             else:
                 result = _fold_shard_frames(
-                    strategy, bool(body["streaming"]), frames, references,
-                    scratch=self._scratch)
+                    strategy, frames, references, scratch=self._scratch)
                 record_name, attrs = "fold_shard", {"shard": int(body["shard"])}
             self.stats["rounds_folded"] += 1
             record = None

@@ -2,7 +2,7 @@
 
 Covers codec round-trips (exact for the cast codecs, bounded error for the
 quantized/sparsified ones), frame edge cases (empty updates, zero-size
-tensors, dtype preservation, corruption detection), streaming-vs-buffered
+tensors, dtype preservation, corruption detection), in-memory-vs-wire-payload
 aggregation equivalence on ``tiny_moe``, an end-to-end wire round whose
 measured payload bytes cross-check the analytic ``ExchangePlan`` estimate,
 and the length-prefixed byte-stream transport (partial reads across frame
@@ -490,21 +490,8 @@ class TestStreamingAggregation:
                                             weight=float(rng.integers(1, 40))))
         return updates
 
-    def test_streaming_bit_identical_to_buffered(self, tiny_config):
-        buffered = ParameterServer(MoETransformer(tiny_config))
-        streaming = ParameterServer(MoETransformer(tiny_config))
-        updates = self.make_updates(buffered.global_model, seed=11)
-
-        contributions_b = buffered.aggregate(list(updates))
-        contributions_s = streaming.aggregate(iter(updates), streaming=True)
-
-        assert contributions_b == contributions_s
-        state_b, state_s = buffered.global_state(), streaming.global_state()
-        for name in state_b:
-            assert np.array_equal(np.asarray(state_b[name]), np.asarray(state_s[name])), name
-
     def test_payload_streaming_bit_identical_to_buffered(self, tiny_config):
-        """Full wire path (fp64 frames) also reproduces buffered FedAvg bits."""
+        """Full wire path (fp64 frames) reproduces in-memory FedAvg bits."""
         buffered = ParameterServer(MoETransformer(tiny_config))
         wire = ParameterServer(MoETransformer(tiny_config))
         updates = self.make_updates(buffered.global_model, seed=13)
@@ -546,7 +533,7 @@ class TestStreamingAggregation:
                 yield update
                 live.pop()  # the server let go before asking for the next one
 
-        server.aggregate(generate(), streaming=True)
+        server.aggregate(generate())
         assert live == []
 
 
@@ -637,10 +624,9 @@ class TestWireRounds:
         return RunConfig(**defaults)
 
     def test_wire_fp64_streaming_matches_analytic_buffered(self, vocab, tiny_config):
-        """Lossless wire + streaming aggregation reproduces the legacy path bit-for-bit."""
+        """Lossless wire transport reproduces the analytic path bit-for-bit."""
         legacy = make_stub(self.config(), vocab, tiny_config)
-        wired = make_stub(self.config(transport="wire", codec="fp64",
-                                      streaming_aggregation=True), vocab, tiny_config)
+        wired = make_stub(self.config(transport="wire", codec="fp64"), vocab, tiny_config)
         result_a = legacy.run(num_rounds=2)
         result_b = wired.run(num_rounds=2)
         state_a = legacy.server.global_state()
@@ -678,7 +664,6 @@ class TestWireRounds:
     def test_wire_composed_codec_corruption_detected(self, vocab, tiny_config):
         """Corrupted composed sparse frames are dropped, never mis-applied."""
         tuner = make_stub(self.config(transport="wire", codec="topk:0.25:int4",
-                                      streaming_aggregation=True,
                                       channel_corrupt_prob=1.0),
                           vocab, tiny_config)
         before = tuner.server.global_state()
@@ -689,8 +674,7 @@ class TestWireRounds:
             assert np.array_equal(np.asarray(before[name]), np.asarray(after[name]))
 
     def test_wire_composed_codec_round_converges(self, vocab, tiny_config):
-        tuner = make_stub(self.config(transport="wire", codec="topk:0.25:int4",
-                                      streaming_aggregation=True), vocab, tiny_config)
+        tuner = make_stub(self.config(transport="wire", codec="topk:0.25:int4"), vocab, tiny_config)
         before = tuner.server.global_state()
         tuner.run(num_rounds=1)
         after = tuner.server.global_state()
@@ -698,8 +682,7 @@ class TestWireRounds:
                    for n in before)
 
     def test_wire_topk_round_converges_toward_updates(self, vocab, tiny_config):
-        tuner = make_stub(self.config(transport="wire", codec="topk:0.5",
-                                      streaming_aggregation=True), vocab, tiny_config)
+        tuner = make_stub(self.config(transport="wire", codec="topk:0.5"), vocab, tiny_config)
         before = tuner.server.global_state()
         tuner.run(num_rounds=1)
         after = tuner.server.global_state()
@@ -733,7 +716,6 @@ class TestMeasuredVsAnalytic:
         """Acceptance: measured int4 payload bytes ~ ExchangePlan.for_bits."""
         config = llama_moe_mini(vocab_size=vocab.size)
         tuner = make_stub(RunConfig(transport="wire", codec="int4",
-                                    streaming_aggregation=True,
                                     eval_max_samples=4, eval_batch_size=4),
                           vocab, config, num_participants=2)
         result = tuner.run(num_rounds=1)
@@ -759,7 +741,6 @@ class TestMeasuredVsAnalytic:
         """Acceptance: measured topk:0.25:int4 bytes ~ the codec's analytics."""
         config = llama_moe_mini(vocab_size=vocab.size)
         tuner = make_stub(RunConfig(transport="wire", codec="topk:0.25:int4",
-                                    streaming_aggregation=True,
                                     eval_max_samples=4, eval_batch_size=4),
                           vocab, config, num_participants=2)
         result = tuner.run(num_rounds=1)

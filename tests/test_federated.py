@@ -6,15 +6,13 @@ import pytest
 from repro.data import make_gsm8k_like, partition_dirichlet, partition_iid, partition_statistics
 from repro.federated import (
     ExpertUpdate,
+    FedAvgStrategy,
     FederatedFineTuner,
     ParameterServer,
     Participant,
     ParticipantResources,
     ParticipantRoundResult,
     RunConfig,
-    apply_fedavg,
-    fedavg_states,
-    group_updates,
 )
 from repro.federated.communication import ExchangePlan
 from repro.models import MoETransformer
@@ -25,40 +23,25 @@ from repro.systems import CONSUMER_GPU, CostModel, MemoryModel, RoundCostBreakdo
 class TestFedAvg:
     def test_weighted_average(self):
         states = [{"w": np.zeros((2, 2))}, {"w": np.ones((2, 2))}]
-        averaged = fedavg_states(states, [1.0, 3.0])
+        averaged = FedAvgStrategy().aggregate(states, [1.0, 3.0])
         assert np.allclose(averaged["w"], 0.75)
-
-    def test_zero_weights_fall_back_to_uniform(self):
-        states = [{"w": np.zeros(2)}, {"w": np.ones(2) * 2}]
-        averaged = fedavg_states(states, [0.0, 0.0])
-        assert np.allclose(averaged["w"], 1.0)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_states([{"w": np.zeros(2)}], [-1.0])
+            FedAvgStrategy().aggregate([{"w": np.zeros(2)}], [-1.0])
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_states([], [])
+            FedAvgStrategy().aggregate([], [])
 
     def test_mismatched_weights_rejected(self):
         with pytest.raises(ValueError):
-            fedavg_states([{"w": np.zeros(2)}], [1.0, 2.0])
+            FedAvgStrategy().aggregate([{"w": np.zeros(2)}], [1.0, 2.0])
 
-    def test_group_updates(self):
-        updates = [
-            ExpertUpdate(0, 0, 1, {"w": np.zeros(2)}, 1.0),
-            ExpertUpdate(1, 0, 1, {"w": np.ones(2)}, 1.0),
-            ExpertUpdate(0, 1, 0, {"w": np.ones(2)}, 1.0),
-        ]
-        grouped = group_updates(updates)
-        assert set(grouped) == {(0, 1), (1, 0)}
-        assert len(grouped[(0, 1)]) == 2
-
-    def test_apply_fedavg_loads_into_model(self, tiny_model):
+    def test_server_aggregate_loads_into_model(self, tiny_model):
         zero_state = {k: np.zeros_like(v) for k, v in tiny_model.expert_state(0, 0).items()}
         updates = [ExpertUpdate(0, 0, 0, zero_state, 2.0)]
-        contributions = apply_fedavg(tiny_model, updates)
+        contributions = ParameterServer(tiny_model).aggregate(updates)
         assert contributions == {(0, 0): 1}
         assert np.allclose(tiny_model.get_expert(0, 0).w_gate.weight.data, 0.0)
 

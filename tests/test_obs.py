@@ -300,8 +300,7 @@ class TestRunTelemetry:
 
         sparse_dir = str(tmp_path / "sparse-trace")
         server, participants, test, config = _telemetry_federation(
-            vocab, tiny_config, sparse_dir, codec="topk:0.25:int4",
-            streaming_aggregation=True)
+            vocab, tiny_config, sparse_dir, codec="topk:0.25:int4")
         ConstantMethod(server, participants, test, config=config).run(1)
         sparse = uplink_densities(sparse_dir)
         assert sparse and all(density < 0.2 for density in sparse)

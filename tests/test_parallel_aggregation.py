@@ -2,11 +2,10 @@
 
 The fold plane (expert shards at the root, tier-0 subtree pre-folds in the
 aggregation tree) can run behind :class:`repro.runtime.AggregationPool`
-workers.  Workers receive lossless fp64 wire frames and mirror the serial
-fold paths exactly, so every (strategy × shard count × tree depth)
-combination must produce the same bits as the serial fold — including the
-legacy buffered FedAvg's all-zero-weight uniform fallback, staleness
-discounting, and kill+resume mid-run.
+workers.  Workers receive wire frames and mirror the serial fold exactly,
+so every (strategy × shard count × tree depth) combination must produce the
+same bits as the serial fold — including staleness discounting, the
+all-zero-weight error, and kill+resume mid-run.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.runtime import AggregationPool, latest_checkpoint, make_aggregation_p
 
 from test_runtime import ConstantMethod, build_federation
 
-STRATEGIES = [None, "fedavg", "trimmed_mean", "median", "staleness_fedavg"]
+STRATEGIES = ["fedavg", "trimmed_mean", "median", "staleness_fedavg"]
 
 
 @pytest.fixture(scope="module")
@@ -81,40 +80,6 @@ class TestPooledShardsBitEqualSerial:
         assert serial.last_shard_contributions == pooled.last_shard_contributions
         _assert_models_equal(serial_model, pooled_model)
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_pooled_streaming_flag_mirrors_serial(self, tiny_config, pool, streaming):
-        serial_model = MoETransformer(tiny_config)
-        pooled_model = MoETransformer(tiny_config)
-        pooled_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model)
-
-        serial = ShardedParameterServer(serial_model, num_shards=3)
-        serial.aggregate(iter(updates), streaming=streaming)
-        pooled = ShardedParameterServer(pooled_model, num_shards=3)
-        pooled.fold_pool = pool
-        pooled.aggregate(iter(updates), streaming=streaming)
-        _assert_models_equal(serial_model, pooled_model)
-
-    def test_pooled_buffered_keeps_zero_weight_fallback(self, tiny_config, pool):
-        """The legacy uniform mean over all-zero weights survives pooling."""
-        serial_model = MoETransformer(tiny_config)
-        pooled_model = MoETransformer(tiny_config)
-        pooled_model.load_state_dict(serial_model.state_dict())
-        def zero_weight(model):
-            rng = np.random.default_rng(3)
-            return [ExpertUpdate(pid, 0, 0,
-                                 {name: value + rng.normal(size=value.shape)
-                                  for name, value in model.expert_state(0, 0).items()},
-                                 weight=0.0)
-                    for pid in range(3)]
-
-        ShardedParameterServer(serial_model, num_shards=2).aggregate(
-            zero_weight(serial_model))
-        pooled = ShardedParameterServer(pooled_model, num_shards=2)
-        pooled.fold_pool = pool
-        pooled.aggregate(zero_weight(pooled_model))
-        _assert_models_equal(serial_model, pooled_model)
-
     def test_pooled_streaming_zero_weight_raises_like_serial(self, tiny_config, pool):
         model = MoETransformer(tiny_config)
         updates = [ExpertUpdate(pid, 0, 0, model.expert_state(0, 0), weight=0.0)
@@ -122,12 +87,12 @@ class TestPooledShardsBitEqualSerial:
         pooled = ShardedParameterServer(model, num_shards=2)
         pooled.fold_pool = pool
         with pytest.raises(ValueError, match="non-positive total weight"):
-            pooled.aggregate(list(updates), streaming=True)
+            pooled.aggregate(list(updates))
 
 
 # ---------------------------------------------------------------- tree matrix
 class TestPooledTreeBitEqualSerial:
-    @pytest.mark.parametrize("strategy", [None, "trimmed_mean", "median"])
+    @pytest.mark.parametrize("strategy", ["fedavg", "trimmed_mean", "median"])
     @pytest.mark.parametrize("tiers", [(2,), (3, 2), (2, 2, 2)])
     def test_pooled_prefold_matches_serial(self, tiny_config, pool, strategy, tiers):
         serial_model = MoETransformer(tiny_config)
@@ -177,9 +142,8 @@ class TestPooledRuns:
     @pytest.mark.parametrize("knobs", [
         {"num_shards": 4},
         {"edge_tiers": (3, 2), "num_shards": 2, "aggregation": "trimmed_mean"},
-        {"edge_tiers": (2, 2), "transport": "wire", "streaming_aggregation": True},
-        {"edge_tiers": (2, 2), "transport": "wire", "codec": "topk:0.25:int4",
-         "streaming_aggregation": True},
+        {"edge_tiers": (2, 2), "transport": "wire"},
+        {"edge_tiers": (2, 2), "transport": "wire", "codec": "topk:0.25:int4"},
     ], ids=["shards", "tree+trim", "tree+wire", "tree+sparse-wire"])
     def test_pooled_run_matches_serial_run(self, vocab, tiny_config, knobs):
         serial_result, serial_tuner = self._run(vocab, tiny_config, **knobs)
@@ -286,4 +250,3 @@ class TestPoolMachinery:
 
         with pytest.raises(TypeError, match="cannot cross a process boundary"):
             picklable_strategy(LambdaStrategy())
-        assert picklable_strategy(None) is None

@@ -111,15 +111,14 @@ class TestResumeEquivalence:
             vocab, tiny_config, build_constant_tuner,
             _checkpoint_dir=tmp_path / "wire",
             participants_per_round=3, transport="wire",
-            streaming_aggregation=True, channel_loss_prob=0.2,
-            dropout_prob=0.2, straggler_prob=0.3)
+            channel_loss_prob=0.2, dropout_prob=0.2, straggler_prob=0.3)
 
     def test_resume_with_sharded_hierarchical_trimmed_mean(self, vocab, tiny_config,
                                                            tmp_path):
         resumed = self._resume_pair(
             vocab, tiny_config, build_constant_tuner,
             _checkpoint_dir=tmp_path / "topo",
-            participants_per_round=3, num_shards=2, num_edge_aggregators=2,
+            participants_per_round=3, num_shards=2, edge_tiers=(2,),
             edge_latency_s=0.05, aggregation="trimmed_mean", trim_ratio=0.2)
         assert all(r.edge_payloads > 0 for r in resumed.rounds)
 
@@ -262,9 +261,39 @@ class TestCheckpointMechanics:
         resumed = build_constant_tuner(vocab, tiny_config, **relaxed)
         resumed.run(num_rounds=2, resume_from=snapshot)
 
+    @pytest.mark.parametrize("retired", [
+        # the three removed fields at their defaults
+        {"streaming_aggregation": False, "num_edge_aggregators": 0,
+         "service_codec": "fp64"},
+        # a one-tier tree spelled with the removed knob alone
+        {"streaming_aggregation": True, "num_edge_aggregators": 2,
+         "service_codec": "wire", "edge_tiers": None},
+    ])
+    def test_resume_from_snapshot_with_retired_config_fields(
+            self, vocab, tiny_config, tmp_path, retired):
+        """Snapshots written before a RunConfig field was removed still resume."""
+        import pickle
+
+        knobs = dict(participants_per_round=3, edge_tiers=(2,))
+        expected = build_constant_tuner(vocab, tiny_config, **knobs).run(num_rounds=3)
+
+        durable = dict(knobs, checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        build_constant_tuner(vocab, tiny_config, **durable).run(num_rounds=2)
+        snapshot = latest_checkpoint(str(tmp_path))
+        state_path = os.path.join(snapshot, STATE_FILE)
+        with open(state_path, "rb") as handle:
+            state = pickle.load(handle)
+        state["run_config"].update(retired)
+        with open(state_path, "wb") as handle:
+            pickle.dump(state, handle)
+
+        resumed = build_constant_tuner(vocab, tiny_config, **durable).run(
+            num_rounds=3, resume_from=snapshot)
+        assert_run_results_equal(resumed, expected)
+
     def test_resume_restores_edge_channel_positions(self, vocab, tiny_config,
                                                     tmp_path):
-        knobs = dict(participants_per_round=3, num_edge_aggregators=2,
+        knobs = dict(participants_per_round=3, edge_tiers=(2,),
                      edge_latency_s=0.05)
         uninterrupted = build_constant_tuner(vocab, tiny_config, **knobs)
         uninterrupted.run(num_rounds=3)
@@ -450,8 +479,8 @@ class TestDeltaCheckpoints:
     def test_resume_from_delta_with_wire_and_faults(self, vocab, tiny_config,
                                                     tmp_path):
         knobs = dict(participants_per_round=3, transport="wire",
-                     streaming_aggregation=True, channel_loss_prob=0.2,
-                     dropout_prob=0.2, straggler_prob=0.3)
+                     channel_loss_prob=0.2, dropout_prob=0.2,
+                     straggler_prob=0.3)
         expected_tuner = build_constant_tuner(vocab, tiny_config, **knobs)
         expected = expected_tuner.run(num_rounds=4)
 

@@ -51,7 +51,7 @@ from test_parallel_aggregation import _assert_models_equal, _updates
 from test_runtime import ConstantMethod, build_federation
 from repro.models import MoETransformer
 
-STRATEGIES = [None, "fedavg", "trimmed_mean", "median", "staleness_fedavg"]
+STRATEGIES = ["fedavg", "trimmed_mean", "median", "staleness_fedavg"]
 
 #: the acceptance topology: expert shards at the root under a two-tier
 #: aggregation tree (participants → edges → super-edges → root)
@@ -141,10 +141,10 @@ class TestServiceFoldsBitEqualSerial:
         updates = _updates(serial_model)
 
         ShardedParameterServer(serial_model, num_shards=3).aggregate(
-            iter(updates), streaming=True)
+            iter(updates))
         service = ShardedParameterServer(service_model, num_shards=3)
         service.fold_pool = service_pool
-        service.aggregate(iter(updates), streaming=True)
+        service.aggregate(iter(updates))
         _assert_models_equal(serial_model, service_model)
 
     def test_server_side_error_surfaces_as_service_error(self, tiny_config,
@@ -156,7 +156,7 @@ class TestServiceFoldsBitEqualSerial:
         service = ShardedParameterServer(model, num_shards=2)
         service.fold_pool = service_pool
         with pytest.raises(ServiceError, match="non-positive total weight"):
-            service.aggregate(list(updates), streaming=True)
+            service.aggregate(list(updates))
 
 
 # ------------------------------------------------------------------ run level
@@ -284,13 +284,13 @@ class TestServiceRuns:
 
 # ------------------------------------------------- compressed service wire
 class TestServiceWireCodec:
-    """``RunConfig(service_codec="wire")``: the round's original codec frames
+    """Compressed service wire: the round's original codec frames
     are forwarded to the servers verbatim (with per-job references for
     delta codecs), so compressed rounds ship compressed service bytes while
     staying bit-identical to serial — the tentpole acceptance invariant."""
 
     #: ``transport="wire"`` is what stamps each delivered update with its
-    #: original codec frame — the bytes ``service_codec="wire"`` forwards
+    #: original codec frame — the bytes the service forwards
     WIRE_KNOBS = dict(SHARDED_3TIER, transport="wire", codec="topk:0.25:int4",
                       aggregation_executor="service",
                       service_transport="socketpair", aggregation_workers=2)
@@ -306,7 +306,7 @@ class TestServiceWireCodec:
             vocab, tiny_config,
             **dict(SHARDED_3TIER, transport="wire", codec="topk:0.25:int4"))
         wire_result, wire_tuner = self._run(
-            vocab, tiny_config, service_codec="wire", service_window=3,
+            vocab, tiny_config, service_window=3,
             **self.WIRE_KNOBS)
         for a, b in zip(serial_result.rounds, wire_result.rounds):
             assert a.train_loss == b.train_loss
@@ -330,9 +330,10 @@ class TestServiceWireCodec:
 
         _, fp64_tuner = self._run(
             vocab, tiny_config, telemetry=True,
-            telemetry_dir=str(tmp_path / "fp64"), **self.WIRE_KNOBS)
+            telemetry_dir=str(tmp_path / "fp64"),
+            **dict(self.WIRE_KNOBS, codec="fp64"))
         _, wire_tuner = self._run(
-            vocab, tiny_config, service_codec="wire", telemetry=True,
+            vocab, tiny_config, telemetry=True,
             telemetry_dir=str(tmp_path / "wire"), **self.WIRE_KNOBS)
 
         # Only the leaf fan-in (the bulk at real scale — see the bench's
@@ -354,8 +355,7 @@ class TestServiceWireCodec:
         """Kill+resume through live servers stays bit-identical on a depth-3
         tree with the compressed wire — replayed rounds reship their
         references with the flush, so resumed folds see identical inputs."""
-        knobs = dict(self.WIRE_KNOBS, service_codec="wire",
-                     edge_tiers=(2, 2, 2))
+        knobs = dict(self.WIRE_KNOBS, edge_tiers=(2, 2, 2))
         server, participants, test, config = build_federation(
             vocab, tiny_config, **knobs)
         expected_tuner = ConstantMethod(server, participants, test, config=config)
@@ -435,7 +435,7 @@ class TestServiceWindow:
             server = InProcessServer(name=f"w{window}")
             client = self._client(server, chunk_frames=1, window=window)
             try:
-                result, _ = client.fold_shard(None, False, 0, framed)
+                result, _ = client.fold_shard("fedavg", 0, framed)
                 results.append(result)
             finally:
                 client.shutdown()
@@ -451,7 +451,7 @@ class TestServiceWindow:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u)
                       for u in _updates(model, num_participants=6)]
-            baseline, _ = client.fold_shard(None, False, 0, framed)
+            baseline, _ = client.fold_shard("fedavg", 0, framed)
 
             real_send = client._send_request
             state = {"sends": 0}
@@ -467,7 +467,7 @@ class TestServiceWindow:
 
             client._send_request = flaky_send
             try:
-                result, _ = client.fold_shard(None, False, 0, framed)
+                result, _ = client.fold_shard("fedavg", 0, framed)
             finally:
                 client._send_request = real_send
             assert result == baseline
@@ -500,7 +500,7 @@ class TestServiceWindow:
 
             client._send_request, client._recv_response = logged_send, logged_recv
             try:
-                result, _ = client.fold_shard(None, False, 0, framed)
+                result, _ = client.fold_shard("fedavg", 0, framed)
             finally:
                 client._send_request = real_send
                 client._recv_response = real_recv
@@ -525,7 +525,7 @@ class TestServiceWindow:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u)
                       for u in _updates(model, num_participants=6)]
-            expected = pool.fold_shards(None, False, [(0, framed)])
+            expected = pool.fold_shards("fedavg", [(0, framed)])
             client = pool._clients[0]
             real_send = client._send_request
             state = {"killed": False}
@@ -539,7 +539,7 @@ class TestServiceWindow:
 
             client._send_request = killer_send
             try:
-                healed = pool.fold_shards(None, False, [(0, framed)])
+                healed = pool.fold_shards("fedavg", [(0, framed)])
             finally:
                 client._send_request = real_send
             assert healed == expected
@@ -563,9 +563,9 @@ class TestServiceFailover:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=3)]
-            expected = pool.fold_shards(None, False, [(0, framed)])
+            expected = pool.fold_shards("fedavg", [(0, framed)])
             pool._servers[0].kill()
-            healed = pool.fold_shards(None, False, [(0, framed)])
+            healed = pool.fold_shards("fedavg", [(0, framed)])
             assert healed == expected
             assert registry.counter_value("repro_service_respawns_total",
                                           server="server0") == 1
@@ -598,7 +598,7 @@ class TestServiceFailover:
             for index in range(_MAX_PENDING_TOKENS + 10):
                 client.call(OP_ADD, {"token": f"orphan-{index}",
                                      "frames": framed[:1]})
-            result, _ = client.fold_shard(None, False, 0, framed)
+            result, _ = client.fold_shard("fedavg", 0, framed)
             assert result  # the folded round is unaffected by the eviction
             assert client.server_stats()["pending_tokens"] <= _MAX_PENDING_TOKENS
         finally:
@@ -638,20 +638,15 @@ class TestServiceMachinery:
             aggregation_executor="service", aggregation_workers=3,
             service_transport="socketpair", service_retry_attempts=5,
             service_retry_delay_s=0.2, service_timeout_s=7.0,
-            service_codec="wire", service_window=5))
+            service_window=5))
         assert isinstance(pool, ServiceAggregationPool)
         assert pool.num_servers == 3
         assert pool.transport == "socketpair"
         assert pool.retry_attempts == 5
         assert pool.retry_delay_s == 0.2
         assert pool.timeout_s == 7.0
-        assert pool.wire_frames is True
         assert pool.window == 5
         pool.close()  # never started: close is a no-op
-        default = make_aggregation_pool(RunConfig(
-            aggregation_executor="service", service_transport="socketpair"))
-        assert default.wire_frames is False  # lossless fp64 stays the default
-        default.close()
 
     def test_config_validates_service_knobs(self):
         with pytest.raises(ValueError, match="service transport"):
@@ -662,8 +657,6 @@ class TestServiceMachinery:
             RunConfig(service_retry_delay_s=-1.0)
         with pytest.raises(ValueError, match="timeout"):
             RunConfig(service_timeout_s=0.0)
-        with pytest.raises(ValueError, match="service codec"):
-            RunConfig(service_codec="fp8000")
         with pytest.raises(ValueError, match="service_window"):
             RunConfig(service_window=0)
         with pytest.raises(ValueError, match="aggregation executor"):
@@ -689,7 +682,7 @@ class TestServiceMachinery:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-            pool.fold_shards(None, False, [(0, framed)])
+            pool.fold_shards("fedavg", [(0, framed)])
             clone = pickle.loads(pickle.dumps(pool))
             assert clone._clients == [] and clone._servers == []
             assert clone.num_servers == 1
@@ -701,10 +694,10 @@ class TestServiceMachinery:
         pool = ServiceAggregationPool(1, transport="socketpair")
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        first = pool.fold_shards(None, False, [(0, framed)])
+        first = pool.fold_shards("fedavg", [(0, framed)])
         pool.close()
         pool.close()
-        again = pool.fold_shards(None, False, [(0, framed)])  # fresh servers
+        again = pool.fold_shards("fedavg", [(0, framed)])  # fresh servers
         assert again == first
         pool.close()
 
@@ -713,7 +706,7 @@ class TestServiceMachinery:
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
         jobs = [(shard, framed) for shard in (5, 2, 9, 0)]
-        results = service_pool.fold_shards(None, False, jobs)
+        results = service_pool.fold_shards("fedavg", jobs)
         assert [shard for shard, _ in results] == [5, 2, 9, 0]
         folded = results[0][1]
         assert all(result == folded for _, result in results)
