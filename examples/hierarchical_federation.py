@@ -19,10 +19,10 @@ away from the flat defaults:
 
 It then scales the topology to a **3-tier parallel tree**
 (``edge_tiers=(3, 2)``: participants → 3 edges → 2 super-edges → root) with
-the whole fold plane behind a process pool
-(``aggregation_executor="process"``): expert shards fold concurrently and
-tier-0 nodes pre-fold their subtree in workers — bit-identical to the serial
-fold, with per-tier backhaul metrics in ``RoundResult.tier_bytes``.
+the whole fold plane behind live aggregator servers
+(``aggregation_executor="service"``): expert shards fold concurrently and
+every tree node folds on a server — bit-identical to the serial fold, with
+per-tier backhaul metrics in ``RoundResult.tier_bytes``.
 
 On top of that the run is **durable**: every 2 rounds the full run state
 (model, metrics, RNG streams, per-tier channel positions, scheduler position)
@@ -106,11 +106,11 @@ def topology_config(checkpoint_dir: str | None = None, **overrides) -> RunConfig
 
 def three_tier_parallel_config(checkpoint_dir: str | None = None,
                                trace_dir: str | None = None) -> RunConfig:
-    """The 3-tier tree with the fold plane behind the process pool."""
+    """The 3-tier tree with the fold plane behind the aggregation service."""
     return topology_config(
         checkpoint_dir,
         edge_tiers=(3, 2),                 # participants -> 3 edges -> 2 super-edges -> root
-        aggregation_executor="process",    # pooled shard folds + tier-0 pre-folds
+        aggregation_executor="service",    # shard folds + node folds on live servers
         aggregation_workers=2,
         telemetry=trace_dir is not None,
         telemetry_dir=trace_dir,
@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> None:
           "(greedy bin-pack on each participant's upload cost)")
 
     print("\n3-tier parallel tree: participants -> 3 edges -> 2 super-edges "
-          "-> 4 shards, folds in a process pool"
+          "-> 4 shards, folds on aggregator servers"
           + (" (telemetry on)" if args.trace_dir else ""))
     parallel_tuner = build_tuner(three_tier_parallel_config(
         trace_dir=args.trace_dir))

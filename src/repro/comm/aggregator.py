@@ -181,8 +181,8 @@ class StreamingAggregator:
         Each partial carries the key's accumulated (post-discount) weight, so
         a downstream weighted fold treats this aggregator's whole input as one
         heavy contributor — the building block of hierarchical aggregation
-        (:mod:`repro.federated.topology`) and of process-pool pre-folding
-        (:mod:`repro.runtime.executor`).  Unfinalizable keys (only zero-weight
+        (:mod:`repro.federated.topology`) and of the service's node
+        pre-folds (:mod:`repro.runtime.executor`).  Unfinalizable keys (only zero-weight
         FedAvg contributions) are dropped.  ``participant_id`` is the pseudo
         id stamped on the partials (aggregator tiers use negative ids).
         """

@@ -21,9 +21,9 @@ storage from :meth:`take` arrays, so a fold can multiply into a term while
 reading a scratch-decoded value of the same shape.
 
 Pools are not thread-safe; use :func:`thread_scratch` for an ambient
-per-thread pool (the process-pool fold workers and the in-process service
-server run on different threads of the same process, so a module-global pool
-would race).  Pickling a pool ships an *empty* pool — buffers are pure cache,
+per-thread pool (in-process service servers and the caller's own fold run
+on different threads of the same process, so a module-global pool would
+race).  Pickling a pool ships an *empty* pool — buffers are pure cache,
 and a pool riding a pickled server/tuner snapshot must not bloat the payload.
 """
 
@@ -120,10 +120,10 @@ _LOCAL = threading.local()
 def thread_scratch() -> ScratchPool:
     """This thread's ambient :class:`ScratchPool` (created on first use).
 
-    The default pool of the worker-side fold functions
-    (:func:`repro.runtime.executor._fold_shard_frames` and friends): each
-    process-pool worker is a single-threaded process, so its pool — and the
-    warm buffers in it — persists across every round the worker folds.
+    The default pool of the fold-job functions
+    (:func:`repro.runtime.executor._fold_shard_frames` and friends) when the
+    caller passes none; the pool — and the warm buffers in it — persists
+    across every fold that thread runs.
     """
     pool = getattr(_LOCAL, "pool", None)
     if pool is None:

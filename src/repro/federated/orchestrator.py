@@ -112,12 +112,11 @@ class RunConfig:
     edge_grouping: str = "cost_aware"
     edge_latency_s: float = 0.0              # per-frame inter-tier link latency
 
-    # --- aggregation executor (repro.runtime.executor.AggregationPool)
-    #: "process" folds expert shards and tree-node subtrees in a process
-    #: pool (bit-identical to serial, test-enforced); "service" folds them
+    # --- aggregation executor (repro.runtime.executor.make_aggregation_pool)
+    #: "service" folds expert shards and tree-node subtrees concurrently
     #: through long-lived socket-backed aggregator servers
-    #: (:class:`repro.service.ServiceAggregationPool` — also bit-identical,
-    #: test-enforced); "serial" is the single-thread legacy fold.
+    #: (:class:`repro.service.ServiceAggregationPool`, bit-identical to
+    #: serial, test-enforced); "serial" folds on the server thread.
     aggregation_executor: str = "serial"
     aggregation_workers: Optional[int] = None
 
@@ -210,7 +209,7 @@ class RunConfig:
             raise ValueError(f"unknown edge grouping {self.edge_grouping!r}")
         if self.edge_latency_s < 0.0:
             raise ValueError("edge_latency_s must be non-negative")
-        if self.aggregation_executor not in ("serial", "process", "service"):
+        if self.aggregation_executor not in ("serial", "service"):
             raise ValueError(
                 f"unknown aggregation executor {self.aggregation_executor!r}")
         if self.aggregation_workers is not None and self.aggregation_workers < 1:
@@ -359,9 +358,9 @@ class FederatedFineTuner(abc.ABC):
 
         self.telemetry = make_telemetry(self.config)
         self.server.tracer = self.telemetry.tracer
-        if hasattr(self._aggregation_pool, "bind_telemetry"):
-            # service pool: repro_service_* byte/connection counters land in
-            # the run's metrics registry (no-op registry when telemetry is off)
+        if self._aggregation_pool is not None:
+            # repro_service_* byte/connection counters land in the run's
+            # metrics registry (no-op registry when telemetry is off)
             self._aggregation_pool.bind_telemetry(self.telemetry)
 
     # ------------------------------------------------------------------ hooks
@@ -502,7 +501,7 @@ class FederatedFineTuner(abc.ABC):
                         continue
                     # Carry the delivered bytes (corrupted-but-decodable
                     # payloads included: these bytes are what decoded) so the
-                    # pooled/service fold dispatch can forward the original
+                    # service fold dispatch can forward the original
                     # frame instead of re-encoding the state as fp64.
                     arrived.wire_frame = bytes(record.payload)
                     arrived.wire_codec = codec.name
@@ -612,8 +611,9 @@ class FederatedFineTuner(abc.ABC):
         """Release runtime resources held by the tuner (idempotent).
 
         Covers the legacy :meth:`run_round` scheduler's worker pool and the
-        aggregation fold pool (``aggregation_executor="process"``); both are
-        lazily recreated on next use, so closing between runs is always safe.
+        aggregation fold servers (``aggregation_executor="service"``); both
+        are lazily recreated on next use, so closing between runs is always
+        safe.
         :meth:`run` closes them itself when it finishes.
         """
         if self._legacy_scheduler is not None:

@@ -55,9 +55,9 @@ class ParameterServer:
         self.round_index = 0
         #: number of contributions each expert received over the whole run
         self.contribution_counts: Dict[ExpertKey, int] = {}
-        #: optional :class:`~repro.runtime.executor.AggregationPool`: with one
-        #: attached (and more than one shard) the per-shard folds run in
-        #: process-pool workers instead of on the server thread
+        #: optional :class:`~repro.service.ServiceAggregationPool`: with one
+        #: attached (and more than one shard) the per-shard folds run on its
+        #: aggregator servers instead of on the server thread
         self.fold_pool = None
         #: span tracer for per-shard fold spans; the fine-tuner shares its
         #: run telemetry tracer here, the no-op default costs nothing
@@ -135,14 +135,14 @@ class ParameterServer:
 
     def _aggregate_pooled(self, updates: Iterable[ExpertUpdate],
                           strategy) -> Dict[ExpertKey, int]:
-        """Fold the shards concurrently in :attr:`fold_pool` workers.
+        """Fold the shards concurrently on the :attr:`fold_pool` servers.
 
-        Updates cross the process boundary as wire frames (plus their
+        Updates travel to the servers as wire frames (plus their
         in-memory staleness), bucketed by shard in arrival order: an update
         that arrived over the wire forwards its original codec frame, with
         one fp64 reference per delta-codec key riding in the shard's job
         (see :func:`~repro.runtime.executor.frame_update`); anything else is
-        framed as lossless fp64.  Each worker mirrors the serial per-shard
+        framed as lossless fp64.  Each server mirrors the serial per-shard
         fold exactly, so pooled aggregation is bit-identical to serial
         (test-enforced).  Pooling buffers one round's frames parent-side,
         trading the serial fold's O(1) memory for parallel fold throughput.

@@ -265,12 +265,12 @@ def get_strategy(spec, **kwargs) -> AggregationStrategy:
 def picklable_strategy(spec) -> AggregationStrategy:
     """Resolve ``spec`` and verify it can cross a process boundary.
 
-    Process-pool aggregation (:class:`~repro.runtime.executor.AggregationPool`)
-    ships the *strategy object* to fold workers and rebuilds accumulators
-    there, so a strategy's construction-time state (trim ratios, staleness
-    exponents, …) must pickle.  All built-in strategies do; a custom strategy
-    holding e.g. a lambda or an open handle fails here with a clear error
-    instead of a deep ``concurrent.futures`` traceback.
+    Service aggregation (:class:`~repro.service.ServiceAggregationPool`)
+    ships the pickled *strategy object* to its fold servers and rebuilds
+    accumulators there, so a strategy's construction-time state (trim ratios,
+    staleness exponents, …) must pickle.  All built-in strategies do; a
+    custom strategy holding e.g. a lambda or an open handle fails here with a
+    clear error instead of a deep traceback from the request encoder.
     """
     import pickle
 

@@ -27,13 +27,12 @@ evenly across edges instead of piling onto ``pid % num_edges``.  Without cost
 information it degrades to the stable round-robin assignment, which keeps
 cost-less configurations bit-identical to the historical behaviour.
 
-**Parallel pre-fold**: pass an
-:class:`~repro.runtime.executor.AggregationPool` (or the service pool) and
-every tier-0 node folds its subtree in a worker — workers receive the updates
-as wire frames (an update that arrived over the wire forwards its original
-codec frame, plus one fp64 reference per delta-codec key) and return the
-node's partial frames, so fold throughput scales with cores while staying
-bit-identical to the serial fold (test-enforced).
+**Parallel pre-fold**: pass a :class:`~repro.service.ServiceAggregationPool`
+and every node of every tier folds on an aggregator server — servers receive
+the updates as wire frames (an update that arrived over the wire forwards its
+original codec frame, plus one fp64 reference per delta-codec key) and return
+the node's partial frames, so independent subtrees fold concurrently while
+staying bit-identical to the serial fold (test-enforced).
 
 Tier-hop traffic is measured, not estimated: every partial crosses its node's
 channel, and the per-round byte/latency totals surface per tier as
@@ -226,7 +225,7 @@ class AggregationTree:
         #: per-tier measured channel stats of the most recent round
         self.last_tier_stats: List[ChannelStats] = [ChannelStats() for _ in widths]
         #: persistent fold scratch for the *serial* tier folds (pooled folds
-        #: run in workers, which keep their own per-thread pools); every
+        #: run on the fold servers, which keep their own); every
         #: serial fold this tree ever runs shares these term buffers
         self._fold_scratch = ScratchPool()
 
@@ -329,15 +328,15 @@ class AggregationTree:
                     # The serial fold streams updates into all nodes at once,
                     # so the span covers the node's partial extraction (its
                     # finalize work); pooled folds time the whole subtree fold
-                    # in their worker instead.
+                    # on their server instead.
                     with tracer.span("prefold_node", category="fold", node=node,
                                      tier=0, num_updates=aggregator.num_updates):
                         partials[node] = [(partial, None)
                                           for partial in self.partial_updates(node, aggregator)]
             return partials
-        # Pooled pre-fold: the updates cross the process boundary as wire
+        # Pooled pre-fold: the updates travel to the fold servers as wire
         # frames (plus their in-memory staleness, which does not travel in
-        # frames) and each node's worker returns its partial frames.  Updates
+        # frames) and each node's server returns its partial frames.  Updates
         # that arrived as wire frames forward those bytes verbatim, delta
         # codecs alongside one fp64-framed reference per expert key per node
         # (see :func:`~repro.runtime.executor.frame_update`).
@@ -373,12 +372,12 @@ class AggregationTree:
         breakdowns stay in :attr:`last_tier_stats`).
 
         ``strategy`` folds every tier and the root; ``None`` uses the root
-        server's strategy.  ``pool`` (an
-        :class:`~repro.runtime.executor.AggregationPool`) moves the tier-0
-        subtree folds into process-pool workers; inner tiers fold the handful
-        of partials in-process.  Pooled folding buffers each
-        node's update frames before dispatch, trading the serial path's
-        one-update-at-a-time memory profile for parallel fold throughput.
+        server's strategy.  ``pool`` (a
+        :class:`~repro.service.ServiceAggregationPool`) moves every node's
+        fold, tier 0 and the inner tiers alike, onto its aggregator servers.
+        Pooled folding buffers each node's update frames before dispatch,
+        trading the serial path's one-update-at-a-time memory profile for
+        parallel fold throughput.
 
         ``tracer`` (a :class:`~repro.obs.Tracer`) records per-node fold spans
         and per-(tier, node) transfer spans; ``None`` is the no-op tracer.
@@ -411,10 +410,11 @@ class AggregationTree:
         # re-fold, re-frame.  Nodes iterate in index order so channel fault
         # sequences are deterministic.  With a fold pool attached every inner
         # node becomes its own fold job — independent subtrees at each tier
-        # fold concurrently (pool workers or aggregator servers) instead of
-        # serializing on this loop; the jobs carry the delivered frames in
-        # arrival order, so the worker's fold is bit-identical to
-        # the serial parent aggregator (test-enforced).
+        # fold concurrently on the aggregator servers instead of serializing
+        # on this loop; the jobs carry the delivered frames in arrival order,
+        # so the server's fold is bit-identical to the serial parent
+        # aggregator (test-enforced).  Partials travel as fp64 frames
+        # (``EDGE_CODEC``), which need no references.
         for tier in range(self.depth - 1):
             parents = ([StreamingAggregator(strategy, scratch=self._fold_scratch)
                         for _ in range(self.tiers[tier + 1])]
@@ -440,9 +440,9 @@ class AggregationTree:
                              - airtime_before)
             current = {}
             if pool is not None:
-                jobs = [(node, self.pseudo_id(tier + 1, node), inbox[node])
+                jobs = [(node, self.pseudo_id(tier + 1, node), inbox[node], {})
                         for node in sorted(inbox)]
-                for node, _, framed in jobs:
+                for node, _, framed, _ in jobs:
                     self.last_tier_counts[tier + 1][node] = len(framed)
                 folded = pool.prefold_nodes(strategy, jobs, timed=tracer.enabled)
                 for record in pool.last_span_records:

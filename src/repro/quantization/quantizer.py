@@ -52,7 +52,9 @@ def quantize_array(weights: np.ndarray, bits: int) -> QuantizedArray:
     matrix = weights.reshape(original_shape[0], -1) if weights.ndim > 1 else weights.reshape(1, -1)
     qmax = 2 ** (bits - 1) - 1
     row_absmax = np.abs(matrix).max(axis=1)
-    scales = np.where(row_absmax > 0, row_absmax / qmax, 1.0)
+    scales = row_absmax / qmax
+    # guard the scale, not the row max: a subnormal row max underflows to 0
+    scales = np.where(scales > 0, scales, 1.0)
     codes = np.clip(np.round(matrix / scales[:, None]), -qmax - 1, qmax).astype(np.int32)
     dtype = str(weights.dtype) if weights.dtype.kind == "f" else "float64"
     return QuantizedArray(codes=codes, scales=scales, bits=bits,

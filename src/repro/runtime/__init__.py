@@ -23,7 +23,6 @@ from .checkpoint import (
 )
 from .events import Event, EventQueue
 from .executor import (
-    AggregationPool,
     ParticipantExecutor,
     ProcessPoolParticipantExecutor,
     SerialExecutor,
@@ -78,7 +77,6 @@ __all__ = [
     "ParticipantExecutor",
     "SerialExecutor",
     "ProcessPoolParticipantExecutor",
-    "AggregationPool",
     "make_executor",
     "make_aggregation_pool",
     "Scheduler",

@@ -77,7 +77,7 @@ _ROUND_DIR = re.compile(r"^round_(\d+)$")
 #: from the uninterrupted run.  All of these are purely operational:
 #: snapshot cadence/location/retention, snapshot encoding (full vs delta,
 #: foreground vs background), telemetry output, and the aggregation fold
-#: backend (serial / process pool / socket service are bit-identical,
+#: backend (serial and socket service are bit-identical,
 #: test-enforced — so a run checkpointed under one may resume under another)
 #: cannot affect run results.
 _RESUMABLE_CONFIG_FIELDS = frozenset(
@@ -90,7 +90,9 @@ _RESUMABLE_CONFIG_FIELDS = frozenset(
      "service_window",
      # retired fields, listed so snapshots written before their removal
      # stay resumable: the fold is the same whatever they were set to, and
-     # the tree shape is checked via ``edge_tiers`` and the topology snapshot
+     # the tree shape is checked via ``edge_tiers`` and the topology snapshot.
+     # ``aggregation_executor`` above also covers snapshots written under the
+     # retired ``"process"`` value: every backend folds bit-identically
      "streaming_aggregation", "num_edge_aggregators", "service_codec"})
 
 
@@ -338,7 +340,7 @@ def restore_run_state(tuner, scheduler, checkpoint: Dict) -> Dict:
     tuner.import_run_state(checkpoint["tuner_extra"])
     scheduler.restore_state(checkpoint["scheduler_state"], tuner)
     pool = getattr(tuner, "_aggregation_pool", None)
-    if hasattr(pool, "on_resume"):
+    if pool is not None:
         # service backend: rebuild server-side accumulators to the snapshot
         # (empty — snapshots land between rounds), dropping any half-round
         # state a surviving server still holds from the killed run

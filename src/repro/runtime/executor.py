@@ -99,11 +99,11 @@ def frame_update(update, codec=None, references: Optional[Dict] = None
 
     Staleness rides alongside the frame because it is in-memory metadata that
     deliberately does not travel in wire frames (the schedulers discount
-    weights before transmission); fold workers still need it so the
+    weights before transmission); fold servers still need it so the
     ``staleness_fedavg`` strategy discounts exactly as a serial fold would.
-    Every producer of pooled fold payloads must pair through here so the
+    Every producer of fold-job payloads must pair through here so the
     convention has exactly one home; :func:`_fold_shard_frames` and
-    :func:`_prefold_node_frames` are its worker-side consumers.
+    :func:`_prefold_node_frames` are its server-side consumers.
 
     An update that arrived over the wire transport carries its original frame
     (``update.wire_frame``); with no explicit ``codec`` requested that frame
@@ -132,7 +132,7 @@ def frame_update(update, codec=None, references: Optional[Dict] = None
 
 
 def _reference_lookup_from(references: Optional[Dict]):
-    """Worker-side decoder for a :func:`frame_update` ``references`` dict.
+    """Server-side decoder for a :func:`frame_update` ``references`` dict.
 
     Returns a ``reference_lookup(layer, expert)`` that lazily decodes the
     fp64 state-dict reference frames (cached per key), or ``None`` when no
@@ -159,36 +159,44 @@ def _reference_lookup_from(references: Optional[Dict]):
     return lookup
 
 
+def _fold_frames(strategy, framed: Sequence[Tuple[bytes, int]],
+                 references: Optional[Dict], scratch):
+    """A :class:`~repro.comm.StreamingAggregator` with every frame folded in.
+
+    Frames decode into ``scratch`` (default: the calling thread's ambient
+    pool; a service server passes its own, which persists across every round
+    it folds) and are folded frame-by-frame, so the per-update cost is one
+    decode-into-scratch plus one fused fold — no per-update allocations and
+    no buffered update list.
+    """
+    from ..comm import StreamingAggregator
+    from ..comm.scratch import thread_scratch
+
+    aggregator = StreamingAggregator(
+        strategy, scratch=thread_scratch() if scratch is None else scratch)
+    lookup = _reference_lookup_from(references)
+    fold_payload = aggregator.fold_payload
+    for frame, staleness in framed:
+        fold_payload(frame, reference_lookup=lookup, staleness=int(staleness))
+    return aggregator
+
+
 def _fold_shard_frames(strategy,
                        framed: Sequence[Tuple[bytes, int]],
                        references: Optional[Dict] = None,
                        scratch=None
                        ) -> List[Tuple[Tuple[int, int], bytes, int]]:
-    """Worker-side: fold one shard's framed updates to per-key aggregates.
+    """Server-side: fold one shard's framed updates to per-key aggregates.
 
     Mirrors the serial server fold exactly: the strategy's accumulators,
     whose finalize raises on unfinalizable keys as serial
     ``StreamingAggregator.apply`` does.  Returns ``(key, framed aggregated
     state, contribution count)`` triples; the state travels back as a
-    lossless fp64 state-dict frame, so pooled == serial bit-for-bit.
-
-    Frames decode into ``scratch`` (default: the calling thread's ambient
-    pool, which in a process-pool worker or a service server persists across
-    every round it folds) and are folded frame-by-frame, so the per-update
-    cost is one decode-into-scratch plus one fused fold — no per-update
-    allocations and no buffered update list.
+    lossless fp64 state-dict frame, so service == serial bit-for-bit.
+    Decode-and-fold runs through ``scratch`` as :func:`_fold_frames` says.
     """
-    from ..comm import StreamingAggregator
-    from ..comm.scratch import thread_scratch
-
-    if scratch is None:
-        scratch = thread_scratch()
-    lookup = _reference_lookup_from(references)
+    aggregator = _fold_frames(strategy, framed, references, scratch)
     codec = get_codec(_IPC_CODEC)
-    aggregator = StreamingAggregator(strategy, scratch=scratch)
-    fold_payload = aggregator.fold_payload
-    for frame, staleness in framed:
-        fold_payload(frame, reference_lookup=lookup, staleness=int(staleness))
     counts = aggregator.contributions()
     return [(key, encode_state_dict(state, codec), counts[key])
             for key, state in aggregator.finalize().items()]
@@ -198,175 +206,27 @@ def _prefold_node_frames(strategy, pseudo_id: int,
                          framed: Sequence[Tuple[bytes, int]],
                          references: Optional[Dict] = None,
                          scratch=None) -> List[bytes]:
-    """Worker-side: pre-fold one aggregation-tree node's framed updates.
+    """Server-side: pre-fold one aggregation-tree node's framed updates.
 
     The node's partials come back as framed updates carrying the group's
     accumulated weight and the node's pseudo participant id — byte-for-byte
     what the serial tier fold would have encoded for the upward hop.
-    Decode-and-fold runs through ``scratch`` exactly as
-    :func:`_fold_shard_frames` does.
+    Decode-and-fold runs through ``scratch`` as :func:`_fold_frames` says.
     """
-    from ..comm import StreamingAggregator
-    from ..comm.scratch import thread_scratch
-
-    if scratch is None:
-        scratch = thread_scratch()
-    lookup = _reference_lookup_from(references)
-    aggregator = StreamingAggregator(strategy, scratch=scratch)
-    fold_payload = aggregator.fold_payload
-    for frame, staleness in framed:
-        fold_payload(frame, reference_lookup=lookup, staleness=int(staleness))
+    aggregator = _fold_frames(strategy, framed, references, scratch)
     codec = get_codec(_IPC_CODEC)
     return [encode_update(partial, codec) for partial in aggregator.partials(pseudo_id)]
 
 
-def _tier_of_pseudo_id(pseudo_id: int) -> int:
-    """The aggregation-tree tier a prefold job's pseudo participant id names."""
-    from ..federated.topology import tier_of_pseudo_id
+def make_aggregation_pool(config):
+    """The fold pool a :class:`~repro.federated.RunConfig` selects (or ``None``).
 
-    return tier_of_pseudo_id(pseudo_id)
-
-
-def _timed_fold_shard(strategy, framed, shard: int,
-                      references: Optional[Dict] = None):
-    """Worker-side: :func:`_fold_shard_frames` plus a fold span record."""
-    wall_start = time.time()
-    perf_start = time.perf_counter()
-    result = _fold_shard_frames(strategy, framed, references)
-    record = span_record("fold_shard", "fold", wall_start,
-                         time.perf_counter() - perf_start,
-                         shard=shard, num_updates=len(framed),
-                         worker_pid=os.getpid())
-    return result, record
-
-
-def _timed_prefold_node(strategy, pseudo_id: int, framed, node: int,
-                        references: Optional[Dict] = None):
-    """Worker-side: :func:`_prefold_node_frames` plus a fold span record."""
-    wall_start = time.time()
-    perf_start = time.perf_counter()
-    result = _prefold_node_frames(strategy, pseudo_id, framed, references)
-    record = span_record("prefold_node", "fold", wall_start,
-                         time.perf_counter() - perf_start,
-                         node=node, tier=_tier_of_pseudo_id(pseudo_id),
-                         num_updates=len(framed), worker_pid=os.getpid())
-    return result, record
-
-
-class AggregationPool:
-    """Process pool for server-side fold work (expert shards, tree nodes).
-
-    The parallel twin of :class:`ProcessPoolParticipantExecutor`, but for the
-    *aggregation* plane: :class:`~repro.federated.ShardedParameterServer`
-    folds its shards concurrently and
-    :class:`~repro.federated.topology.AggregationTree` tier-0 nodes pre-fold
-    their subtrees in workers.  All payloads cross the process boundary as
-    wire frames (exactly the representation a distributed deployment would
-    ship; see :func:`frame_update`), so pooled aggregation is bit-identical
-    to serial — test-enforced.  The underlying pool is created lazily and
-    survives across rounds; like the participant executor it pickles
-    pool-less, so a fine-tuner holding one can itself be shipped to training
-    workers.
+    ``"serial"`` folds on the server thread (``None``); ``"service"`` returns a
+    :class:`~repro.service.ServiceAggregationPool`.
     """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: worker-measured fold span records of the most recent ``timed=True``
-        #: call (cleared per call), for the caller's tracer to ingest
-        self.last_span_records: List[dict] = []
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        return state
-
-    def _worker_strategy(self, strategy):
-        from ..federated.strategies import picklable_strategy
-
-        return picklable_strategy(strategy)
-
-    def fold_shards(self, strategy, jobs: Sequence[Tuple],
-                    timed: bool = False
-                    ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
-        """Fold every shard's framed updates concurrently; results in job order.
-
-        Jobs are ``(shard, framed)`` or ``(shard, framed, references)`` — the
-        optional trailing dict carries fp64-framed reference states for
-        ``needs_reference`` wire frames (see :func:`frame_update`).
-        ``timed=True`` additionally measures each shard's fold in its worker
-        and leaves the span records in :attr:`last_span_records`.
-        """
-        strategy = self._worker_strategy(strategy)
-        pool = self._ensure_pool()
-        self.last_span_records = []
-        if timed:
-            futures = [(job[0], pool.submit(_timed_fold_shard, strategy,
-                                            job[1], job[0],
-                                            job[2] if len(job) > 2 else None))
-                       for job in jobs]
-            out = []
-            for shard, future in futures:
-                result, record = future.result()
-                self.last_span_records.append(record)
-                out.append((shard, result))
-            return out
-        futures = [(job[0], pool.submit(_fold_shard_frames, strategy,
-                                        job[1], job[2] if len(job) > 2 else None))
-                   for job in jobs]
-        return [(shard, future.result()) for shard, future in futures]
-
-    def prefold_nodes(self, strategy,
-                      jobs: Sequence[Tuple],
-                      timed: bool = False) -> List[Tuple[int, List[bytes]]]:
-        """Pre-fold every tree node's framed updates concurrently (job order).
-
-        Jobs are ``(node, pseudo_id, framed)`` or ``(node, pseudo_id, framed,
-        references)``.  ``timed=True`` measures each node's fold worker-side
-        into :attr:`last_span_records`, as :meth:`fold_shards` does.
-        """
-        strategy = self._worker_strategy(strategy)
-        pool = self._ensure_pool()
-        self.last_span_records = []
-        if timed:
-            futures = [(job[0], pool.submit(_timed_prefold_node, strategy, job[1],
-                                            job[2], job[0],
-                                            job[3] if len(job) > 3 else None))
-                       for job in jobs]
-            out = []
-            for node, future in futures:
-                result, record = future.result()
-                self.last_span_records.append(record)
-                out.append((node, result))
-            return out
-        futures = [(job[0], pool.submit(_prefold_node_frames, strategy, job[1],
-                                        job[2], job[3] if len(job) > 3 else None))
-                   for job in jobs]
-        return [(node, future.result()) for node, future in futures]
-
-    def close(self) -> None:
-        """Release the worker pool (idempotent; lazily recreated on next use)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def make_aggregation_pool(config) -> Optional[AggregationPool]:
-    """The fold pool a :class:`~repro.federated.RunConfig` selects (or ``None``)."""
     name = getattr(config, "aggregation_executor", "serial")
     if name == "serial":
         return None
-    if name == "process":
-        return AggregationPool(max_workers=getattr(config, "aggregation_workers", None))
     if name == "service":
         from ..service import ServiceAggregationPool  # local: service pulls in asyncio
 

@@ -1,10 +1,10 @@
-"""Persistent socket-backed aggregation service (``backend="service"``).
+"""Persistent socket-backed aggregation service (``aggregation_executor="service"``).
 
-Instead of forking a process pool per fold call, this package keeps
-long-lived aggregator servers — one per shard/subtree — each holding its
-round accumulator *between* requests and speaking the CRC-framed
-:mod:`repro.comm` wire protocol over a real transport: ``socketpair`` for
-in-host tests, TCP for multi-process topologies.  The pieces:
+The parallel fold backend: long-lived aggregator servers — one per
+shard/subtree — each holding its round accumulator *between* requests and
+speaking the CRC-framed :mod:`repro.comm` wire protocol over a real
+transport: ``socketpair`` for in-host tests, TCP for multi-process
+topologies.  The pieces:
 
 * :mod:`~repro.service.protocol` — the ``RWS1`` op/pickle envelope around
   ordinary ``RWP1`` wire frames.
@@ -19,8 +19,8 @@ in-host tests, TCP for multi-process topologies.  The pieces:
   pool-shaped facade that plugs into the runtime as
   ``RunConfig(aggregation_executor="service")``.
 
-The service fold plane is bit-identical to the pooled and serial planes
-(same worker fold functions; the round's original codec frames forwarded
+The service fold plane is bit-identical to the serial fold (same strategy
+accumulators; the round's original codec frames forwarded
 verbatim with per-job references, in-memory updates as lossless fp64;
 test-enforced) and survives a hard-killed server mid-round by respawning and
 replaying the round — see the CI ``service-smoke`` lane and

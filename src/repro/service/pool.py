@@ -1,22 +1,21 @@
-"""The ``backend="service"`` fold plane: a pool-shaped client over live servers.
+"""The ``aggregation_executor="service"`` fold plane: a pool over live servers.
 
-:class:`ServiceAggregationPool` implements the exact duck-typed interface of
-:class:`~repro.runtime.executor.AggregationPool` — ``fold_shards`` /
-``prefold_nodes`` / ``last_span_records`` / ``close`` — so the
-:class:`~repro.federated.topology.AggregationTree`, the
-:class:`~repro.federated.ShardedParameterServer` and the schedulers gain the
-service backend without changing a line: ``RunConfig(aggregation_executor=
-"service")`` routes every fold through long-lived
-:class:`~repro.service.server.AggregatorServer` processes instead of
-process-pool workers.
+:class:`ServiceAggregationPool` is the parallel fold backend behind
+``fold_shards`` / ``prefold_nodes`` / ``last_span_records`` / ``close``: the
+:class:`~repro.federated.topology.AggregationTree` and the
+:class:`~repro.federated.ShardedParameterServer` hand it their fold jobs, and
+``RunConfig(aggregation_executor="service")`` routes every fold through
+long-lived :class:`~repro.service.server.AggregatorServer` processes instead
+of the server thread.
 
 Topology: one client connection per server, shard/node ``k`` pinned to
 server ``k % num_servers`` (stable across rounds, so a shard's folds always
 land on the same persistent server), jobs to distinct servers dispatched
 concurrently from a thread pool while jobs sharing a server serialize on its
-connection lock.  The payloads are the same ``(wire frame, staleness)`` pairs
-the process pool ships, and the servers run the same worker fold functions —
-service folds are bit-identical to pooled and serial folds (test-enforced).
+connection lock.  The payloads are ``(wire frame, staleness)`` pairs built
+by :func:`~repro.runtime.executor.frame_update`, and the servers fold them
+with the streaming accumulators the serial fold uses — service folds are
+bit-identical to serial folds (test-enforced).
 
 Failure handling: each client retries its whole round with
 backoff (see :mod:`repro.service.client`); for *spawned* servers the dial
@@ -25,7 +24,7 @@ server mid-round heals transparently — the round replays against the
 replacement and the run completes (the CI ``service-smoke`` lane kills one
 mid-round to enforce exactly this).  ``close()`` is the graceful drain: every
 server gets an ack'd ``OP_SHUTDOWN``, spawned processes are joined, and the
-pool can lazily restart for a next run, like the process pool.
+pool can lazily restart for a next run.
 
 Transports: ``"tcp"`` spawns one child process per server on an ephemeral
 ``127.0.0.1`` port (or, with ``addresses=[(host, port), ...]``, dials
@@ -36,11 +35,11 @@ with zero network setup, for in-host tests and constrained sandboxes.
 
 Compressed service wire: the callers forward each round's *original* codec
 frames verbatim instead of re-encoding them to fp64 (see
-:func:`~repro.runtime.executor.frame_update`), and jobs may carry a trailing
-per-job references dict (fp64 reference frames for reference-requiring
-codecs) that rides the flush body to the server.  The server decodes exactly
-the bytes the serial path would, so bit-identity holds by construction while
-wire bytes shrink to the codec's ratio.  ADDs are pipelined client-side in a
+:func:`~repro.runtime.executor.frame_update`), and every job carries a
+references dict (fp64 reference frames for reference-requiring codecs,
+empty when no frame needs one) that rides the flush body to the server.
+The server decodes exactly the bytes the serial path would, so bit-identity
+holds by construction while wire bytes shrink to the codec's ratio.  ADDs are pipelined client-side in a
 bounded ``window`` (see :mod:`repro.service.client`).
 
 Observability: with telemetry bound (the orchestrator calls
@@ -49,8 +48,7 @@ counters into ``repro_service_*`` metrics — including per-codec
 ``repro_service_frame_bytes_total``, per-tier
 ``repro_service_tier_folds_total`` and ``repro_service_reference_bytes_total``
 payload counters — and server-measured fold span records land in
-:attr:`last_span_records` for the caller's tracer to ingest, exactly like
-pool workers' records.
+:attr:`last_span_records` for the caller's tracer to ingest.
 """
 
 from __future__ import annotations
@@ -112,7 +110,7 @@ class ServiceAggregationPool:
         self.window = int(window)
         self.log_dir = log_dir
         #: server-measured fold span records of the most recent ``timed=True``
-        #: call (cleared per call) — same contract as ``AggregationPool``
+        #: call (cleared per call), for the caller's tracer to ingest
         self.last_span_records: List[dict] = []
         self._servers: List[object] = []     # ServerProcess | InProcessServer | None
         self._clients: List[ServiceClient] = []
@@ -124,10 +122,10 @@ class ServiceAggregationPool:
 
     # -------------------------------------------------------------- lifecycle
     def __getstate__(self):
-        # Like the process pool, the service pool crosses pickle boundaries
-        # (the tuner ships to training workers) resource-less: live sockets,
-        # server handles and thread pools stay behind; the unpickled copy can
-        # lazily start its own servers if it ever folds.
+        # The service pool crosses pickle boundaries (the tuner ships to
+        # training workers) resource-less: live sockets, server handles and
+        # thread pools stay behind; the unpickled copy can lazily start its
+        # own servers if it ever folds.
         state = self.__dict__.copy()
         for live in ("_servers", "_clients", "_locks", "_published", "_respawns"):
             state[live] = []
@@ -216,7 +214,10 @@ class ServiceAggregationPool:
         their lifecycle belongs to whoever started them.
         """
         clients, self._clients = self._clients, []
-        servers, self._servers = self._servers, []
+        # ``_servers`` stays populated until every client has shut down: a
+        # client that never connected (its server got no fold job) dials
+        # through the connect factory, which indexes it.
+        servers = self._servers
         for index, client in enumerate(clients):
             if self.addresses is not None:
                 client.close()  # external servers outlive the pool
@@ -226,6 +227,7 @@ class ServiceAggregationPool:
                 client.close()
                 continue  # a dead spawned server needs no drain
             client.shutdown()
+        self._servers = []
         for server in servers:
             if isinstance(server, ServerProcess):
                 server.join(timeout=self.timeout_s)
@@ -301,7 +303,7 @@ class ServiceAggregationPool:
             self._count("repro_service_frame_bytes_total", by_codec[codec],
                         codec=codec)
         self._count("repro_service_reference_bytes_total", sum(
-            len(frame) for references in references_list if references
+            len(frame) for references in references_list
             for frame in references.values()))
 
     def _run_jobs(self, kind: str, jobs: Sequence[Tuple], run_one) -> List:
@@ -326,43 +328,40 @@ class ServiceAggregationPool:
         return out
 
     def fold_shards(self, strategy,
-                    jobs: Sequence[Tuple[int, Sequence[Tuple[bytes, int]]]],
+                    jobs: Sequence[Tuple[int, Sequence[Tuple[bytes, int]], Dict]],
                     timed: bool = False
                     ) -> List[Tuple[int, List[Tuple[Tuple[int, int], bytes, int]]]]:
         """Fold every shard's framed updates on its pinned server (job order).
 
-        Jobs are ``(shard, framed)`` or ``(shard, framed, references)``.
+        Jobs are ``(shard, framed, references)``; ``references`` may be empty.
         """
 
         def run_one(client: ServiceClient, job):
-            shard, framed = job[0], job[1]
+            shard, framed, references = job
             result, record = client.fold_shard(
-                strategy, shard, framed, timed=timed,
-                references=job[2] if len(job) > 2 else None)
+                strategy, shard, framed, timed=timed, references=references)
             return shard, result, record
 
         out = self._run_jobs("shard", jobs, run_one)
-        self._count_payloads([job[1] for job in jobs],
-                             [job[2] if len(job) > 2 else None for job in jobs])
+        self._count_payloads([job[1] for job in jobs], [job[2] for job in jobs])
         return out
 
     def prefold_nodes(self, strategy,
-                      jobs: Sequence[Tuple[int, int, Sequence[Tuple[bytes, int]]]],
+                      jobs: Sequence[Tuple[int, int, Sequence[Tuple[bytes, int]], Dict]],
                       timed: bool = False) -> List[Tuple[int, List[bytes]]]:
         """Pre-fold every tree node's framed updates on its pinned server.
 
-        Jobs are ``(node, pseudo_id, framed)`` or ``(node, pseudo_id, framed,
-        references)``.  The pseudo id also names
-        the node's tree tier, counted into
-        ``repro_service_tier_folds_total{tier=...}`` so inner-tier routing is
-        visible in run reports.
+        Jobs are ``(node, pseudo_id, framed, references)``; ``references``
+        may be empty.  The pseudo id also names the node's tree tier, counted
+        into ``repro_service_tier_folds_total{tier=...}`` so inner-tier
+        routing is visible in run reports.
         """
 
         def run_one(client: ServiceClient, job):
-            node, pseudo_id, framed = job[0], job[1], job[2]
+            node, pseudo_id, framed, references = job
             result, record = client.prefold_node(
                 strategy, node, pseudo_id, framed, timed=timed,
-                references=job[3] if len(job) > 3 else None)
+                references=references)
             return node, result, record
 
         out = self._run_jobs("node", jobs, run_one)
@@ -372,8 +371,7 @@ class ServiceAggregationPool:
             for tier in sorted(set(tiers)):
                 self._count("repro_service_tier_folds_total",
                             tiers.count(tier), tier=tier)
-        self._count_payloads([job[2] for job in jobs],
-                             [job[3] if len(job) > 3 else None for job in jobs])
+        self._count_payloads([job[2] for job in jobs], [job[3] for job in jobs])
         return out
 
     # -------------------------------------------------------------- inspection

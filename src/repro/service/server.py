@@ -1,9 +1,9 @@
 """Long-lived aggregator servers: the fold plane as a socket service.
 
-An :class:`AggregatorServer` is one persistent fold node — the service twin
-of one :class:`~repro.runtime.executor.AggregationPool` worker, except that
-it outlives rounds (and runs): it keeps its round accumulators, lifetime
-counters and connections between folds, and speaks the
+An :class:`AggregatorServer` is one persistent fold node of the
+:class:`~repro.service.ServiceAggregationPool`.  It outlives rounds (and
+runs): it keeps its round accumulators, lifetime counters and connections
+between folds, and speaks the
 :mod:`repro.service.protocol` messages over the length-prefixed
 :mod:`repro.comm.stream` transport.  One asyncio accept loop per server
 handles any number of concurrent client connections, so the shard folds and
@@ -11,13 +11,12 @@ tier-0 subtree pre-folds of one round — or of several concurrent runs — can
 stream into the same server in parallel.
 
 The fold math is deliberately *not* reimplemented here: flush requests call
-the exact worker functions the process pool uses
-(:func:`repro.runtime.executor._fold_shard_frames` /
-:func:`~repro.runtime.executor._prefold_node_frames`), so a service fold is
-bit-identical to a pooled or serial fold by construction (test-enforced).
-Fold work runs inline on the event loop: one fold occupies the server — the
-parallelism of the service plane comes from running many single-shard/subtree
-servers, one per shard or subtree, exactly as the pool runs many workers.
+the fold functions :func:`repro.runtime.executor._fold_shard_frames` /
+:func:`~repro.runtime.executor._prefold_node_frames`, which stream frames
+through the same strategy accumulators as the serial fold, so a service fold
+is bit-identical to a serial fold (test-enforced).  Fold work runs inline on
+the event loop: one fold occupies the server — the parallelism of the
+service plane comes from running many servers, one per shard or subtree.
 
 Three ways to run one:
 
@@ -162,7 +161,7 @@ class AggregatorServer:
         Synchronous on purpose: fold work is CPU-bound, and interleaving two
         folds on one event loop would only slow both down.  Concurrency
         across *servers* (one per shard/subtree) is the service plane's
-        parallelism, mirroring one-pool-worker-per-shard.
+        parallelism.
         """
         from ..runtime.executor import _fold_shard_frames, _prefold_node_frames
 

@@ -212,8 +212,8 @@ NEST_EPS_US = 5_000.0
 
 def _telemetry_federation(vocab, tiny_config, trace_dir, **extra):
     knobs = dict(num_shards=2, edge_tiers=(3, 2), transport="wire",
-                 aggregation_executor="process", aggregation_workers=2,
-                 participants_per_round=4,
+                 aggregation_executor="service", aggregation_workers=2,
+                 service_transport="socketpair", participants_per_round=4,
                  telemetry=True, telemetry_dir=str(trace_dir))
     knobs.update(extra)
     return build_federation(vocab, tiny_config, num_clients=6, **knobs)

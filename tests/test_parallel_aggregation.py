@@ -1,16 +1,14 @@
-"""Process-pool aggregation is bit-identical to serial — the whole matrix.
+"""Pooled aggregation is bit-identical to serial — the whole matrix.
 
-The fold plane (expert shards at the root, tier-0 subtree pre-folds in the
-aggregation tree) can run behind :class:`repro.runtime.AggregationPool`
-workers.  Workers receive wire frames and mirror the serial fold exactly,
-so every (strategy × shard count × tree depth) combination must produce the
-same bits as the serial fold — including staleness discounting, the
+The fold plane (expert shards at the root, every node of the aggregation
+tree) can run behind a :class:`repro.service.ServiceAggregationPool`.  Its
+servers receive wire frames and mirror the serial fold exactly, so every
+(strategy × shard count × tree depth) combination must produce the same
+bits as the serial fold — including staleness discounting, the
 all-zero-weight error, and kill+resume mid-run.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -19,12 +17,12 @@ from repro.federated import (
     AggregationTree,
     ExpertUpdate,
     ParameterServer,
-    RunConfig,
     ShardedParameterServer,
 )
 from repro.federated.strategies import AggregationStrategy, picklable_strategy
 from repro.models import MoETransformer
-from repro.runtime import AggregationPool, latest_checkpoint, make_aggregation_pool
+from repro.runtime import latest_checkpoint
+from repro.service import ServiceAggregationPool
 
 from test_runtime import ConstantMethod, build_federation
 
@@ -33,8 +31,8 @@ STRATEGIES = ["fedavg", "trimmed_mean", "median", "staleness_fedavg"]
 
 @pytest.fixture(scope="module")
 def pool():
-    """One worker pool shared by the whole matrix (lazily spawned, closed once)."""
-    shared = AggregationPool(max_workers=2)
+    """One fold pool shared by the whole matrix (lazily started, closed once)."""
+    shared = ServiceAggregationPool(2, transport="socketpair")
     yield shared
     shared.close()
 
@@ -58,62 +56,66 @@ def _assert_models_equal(model_a, model_b):
         assert np.array_equal(state_a[name], state_b[name]), name
 
 
+def _check_shard_fold(tiny_config, pool, strategy, num_shards):
+    serial_model = MoETransformer(tiny_config)
+    pooled_model = MoETransformer(tiny_config)
+    pooled_model.load_state_dict(serial_model.state_dict())
+    updates = _updates(serial_model, stalenesses=(strategy == "staleness_fedavg"))
+
+    serial = ShardedParameterServer(serial_model, num_shards=num_shards)
+    serial_contrib = serial.aggregate(list(updates), strategy=strategy)
+
+    pooled = ShardedParameterServer(pooled_model, num_shards=num_shards)
+    pooled.fold_pool = pool
+    pooled_contrib = pooled.aggregate(list(updates), strategy=strategy)
+
+    assert serial_contrib == pooled_contrib
+    assert serial.last_shard_contributions == pooled.last_shard_contributions
+    _assert_models_equal(serial_model, pooled_model)
+
+
+def _check_tree_fold(tiny_config, pool, strategy, tiers):
+    serial_model = MoETransformer(tiny_config)
+    pooled_model = MoETransformer(tiny_config)
+    pooled_model.load_state_dict(serial_model.state_dict())
+    updates = _updates(serial_model, num_participants=8)
+
+    serial_tree = AggregationTree(tiers, latency_s=0.05)
+    serial_contrib, serial_stats = serial_tree.aggregate(
+        ParameterServer(serial_model), iter(updates), strategy=strategy)
+    pooled_tree = AggregationTree(tiers, latency_s=0.05)
+    pooled_contrib, pooled_stats = pooled_tree.aggregate(
+        ParameterServer(pooled_model), iter(updates), strategy=strategy,
+        pool=pool)
+
+    assert serial_contrib == pooled_contrib
+    assert serial_tree.last_tier_counts == pooled_tree.last_tier_counts
+    assert serial_stats.total_bytes == pooled_stats.total_bytes
+    assert serial_stats.payloads == pooled_stats.payloads
+    assert serial_stats.seconds == pooled_stats.seconds
+    _assert_models_equal(serial_model, pooled_model)
+
+
+SHARD_COUNTS = [2, 4, 8]
+TREE_STRATEGIES = ["fedavg", "trimmed_mean", "median"]
+TREE_TIERS = [(2,), (3, 2), (2, 2, 2)]
+
+
 # -------------------------------------------------------------- shard matrix
 class TestPooledShardsBitEqualSerial:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_pooled_fold_matches_serial(self, tiny_config, pool, strategy,
                                         num_shards):
-        serial_model = MoETransformer(tiny_config)
-        pooled_model = MoETransformer(tiny_config)
-        pooled_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model, stalenesses=(strategy == "staleness_fedavg"))
-
-        serial = ShardedParameterServer(serial_model, num_shards=num_shards)
-        serial_contrib = serial.aggregate(list(updates), strategy=strategy)
-
-        pooled = ShardedParameterServer(pooled_model, num_shards=num_shards)
-        pooled.fold_pool = pool
-        pooled_contrib = pooled.aggregate(list(updates), strategy=strategy)
-
-        assert serial_contrib == pooled_contrib
-        assert serial.last_shard_contributions == pooled.last_shard_contributions
-        _assert_models_equal(serial_model, pooled_model)
-
-    def test_pooled_streaming_zero_weight_raises_like_serial(self, tiny_config, pool):
-        model = MoETransformer(tiny_config)
-        updates = [ExpertUpdate(pid, 0, 0, model.expert_state(0, 0), weight=0.0)
-                   for pid in range(2)]
-        pooled = ShardedParameterServer(model, num_shards=2)
-        pooled.fold_pool = pool
-        with pytest.raises(ValueError, match="non-positive total weight"):
-            pooled.aggregate(list(updates))
+        _check_shard_fold(tiny_config, pool, strategy, num_shards)
 
 
 # ---------------------------------------------------------------- tree matrix
 class TestPooledTreeBitEqualSerial:
-    @pytest.mark.parametrize("strategy", ["fedavg", "trimmed_mean", "median"])
-    @pytest.mark.parametrize("tiers", [(2,), (3, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("strategy", TREE_STRATEGIES)
+    @pytest.mark.parametrize("tiers", TREE_TIERS)
     def test_pooled_prefold_matches_serial(self, tiny_config, pool, strategy, tiers):
-        serial_model = MoETransformer(tiny_config)
-        pooled_model = MoETransformer(tiny_config)
-        pooled_model.load_state_dict(serial_model.state_dict())
-        updates = _updates(serial_model, num_participants=8)
-
-        serial_tree = AggregationTree(tiers, latency_s=0.05)
-        serial_contrib, serial_stats = serial_tree.aggregate(
-            ParameterServer(serial_model), iter(updates), strategy=strategy)
-        pooled_tree = AggregationTree(tiers, latency_s=0.05)
-        pooled_contrib, pooled_stats = pooled_tree.aggregate(
-            ParameterServer(pooled_model), iter(updates), strategy=strategy,
-            pool=pool)
-
-        assert serial_contrib == pooled_contrib
-        assert serial_tree.last_tier_counts == pooled_tree.last_tier_counts
-        assert serial_stats.total_bytes == pooled_stats.total_bytes
-        assert serial_stats.payloads == pooled_stats.payloads
-        assert serial_stats.seconds == pooled_stats.seconds
-        _assert_models_equal(serial_model, pooled_model)
+        _check_tree_fold(tiny_config, pool, strategy, tiers)
 
     def test_pooled_tree_into_pooled_shards(self, tiny_config, pool):
         """Tree pre-fold and shard fold pool together, still bit-identical."""
@@ -128,6 +130,21 @@ class TestPooledTreeBitEqualSerial:
         pooled_server.fold_pool = pool
         AggregationTree((3, 2)).aggregate(pooled_server, iter(updates), pool=pool)
         _assert_models_equal(serial_model, pooled_model)
+
+
+# ------------------------------------------------------------- tcp transport
+def test_tcp_matrix_matches_serial(tiny_config):
+    """The shard and tree matrices again, through spawned TCP fold servers."""
+    pool = ServiceAggregationPool(2, transport="tcp")
+    try:
+        for strategy in STRATEGIES:
+            for num_shards in SHARD_COUNTS:
+                _check_shard_fold(tiny_config, pool, strategy, num_shards)
+        for strategy in TREE_STRATEGIES:
+            for tiers in TREE_TIERS:
+                _check_tree_fold(tiny_config, pool, strategy, tiers)
+    finally:
+        pool.close()
 
 
 # ------------------------------------------------------------------ run level
@@ -148,8 +165,8 @@ class TestPooledRuns:
     def test_pooled_run_matches_serial_run(self, vocab, tiny_config, knobs):
         serial_result, serial_tuner = self._run(vocab, tiny_config, **knobs)
         pooled_result, pooled_tuner = self._run(
-            vocab, tiny_config, aggregation_executor="process",
-            aggregation_workers=2, **knobs)
+            vocab, tiny_config, aggregation_executor="service",
+            aggregation_workers=2, service_transport="socketpair", **knobs)
         for a, b in zip(serial_result.rounds, pooled_result.rounds):
             assert a.train_loss == b.train_loss
             assert a.metric_value == b.metric_value
@@ -165,7 +182,8 @@ class TestPooledRuns:
         serial_result, serial_tuner = self._run(vocab, tiny_config, **knobs)
         pooled_result, pooled_tuner = self._run(
             vocab, tiny_config, executor="process", executor_workers=2,
-            aggregation_executor="process", aggregation_workers=2, **knobs)
+            aggregation_executor="service", aggregation_workers=2,
+            service_transport="socketpair", **knobs)
         for a, b in zip(serial_result.rounds, pooled_result.rounds):
             assert a.train_loss == b.train_loss
             assert a.metric_value == b.metric_value
@@ -176,7 +194,8 @@ class TestPooledRuns:
         """Kill+resume under the pooled sharded-tree path stays bit-identical."""
         knobs = dict(participants_per_round=3, num_shards=2, edge_tiers=(2, 2),
                      aggregation="trimmed_mean", trim_ratio=0.2,
-                     aggregation_executor="process", aggregation_workers=2)
+                     aggregation_executor="service", aggregation_workers=2,
+                     service_transport="socketpair")
         server, participants, test, config = build_federation(
             vocab, tiny_config, **knobs)
         expected_tuner = ConstantMethod(server, participants, test, config=config)
@@ -205,39 +224,6 @@ class TestPooledRuns:
 
 # ------------------------------------------------------------------ machinery
 class TestPoolMachinery:
-    def test_make_aggregation_pool_from_config(self):
-        assert make_aggregation_pool(RunConfig()) is None
-        pool = make_aggregation_pool(
-            RunConfig(aggregation_executor="process", aggregation_workers=3))
-        assert isinstance(pool, AggregationPool)
-        assert pool.max_workers == 3
-        pool.close()
-        with pytest.raises(ValueError):
-            AggregationPool(max_workers=0)
-
-    def test_pool_pickles_pool_less(self, tiny_config):
-        """A tuner holding a live pool must still ship to training workers."""
-        pool = AggregationPool(max_workers=1)
-        try:
-            model = MoETransformer(tiny_config)
-            server = ShardedParameterServer(model, num_shards=2)
-            server.fold_pool = pool
-            server.aggregate(_updates(model, num_participants=2))  # spawn the pool
-            clone = pickle.loads(pickle.dumps(server))
-            assert clone.fold_pool._pool is None
-            assert clone.fold_pool.max_workers == 1
-        finally:
-            pool.close()
-
-    def test_close_is_idempotent_and_pool_recreates(self, tiny_config, pool):
-        model = MoETransformer(tiny_config)
-        server = ShardedParameterServer(model, num_shards=2)
-        server.fold_pool = pool
-        server.aggregate(_updates(model, num_participants=2))
-        pool.close()
-        pool.close()
-        server.aggregate(_updates(model, num_participants=2))  # lazily respawns
-
     def test_unpicklable_strategy_fails_with_clear_error(self):
         class LambdaStrategy(AggregationStrategy):
             name = "lambda_strategy"

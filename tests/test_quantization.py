@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis import output_error, profile_activation
 from repro.quantization import (
+    PACKABLE_BITS,
     SUPPORTED_BITS,
+    pack_int_codes,
     quantization_error,
     quantize_array,
     quantize_model,
@@ -45,12 +47,22 @@ class TestQuantizeArray:
         assert np.allclose(quantize_array(weights, 2).dequantize(), 0.0)
 
     def test_codes_within_range(self):
-        weights = np.random.default_rng(3).standard_normal((5, 7)) * 100
-        for bits in SUPPORTED_BITS:
-            codes = quantize_array(weights, bits).codes
-            qmax = 2 ** (bits - 1) - 1
-            assert codes.max() <= qmax
-            assert codes.min() >= -qmax - 1
+        inputs = [
+            np.random.default_rng(3).standard_normal((5, 7)) * 100,
+            # subnormal row maxima, whose scale ``absmax / qmax`` underflows to 0
+            np.array([[5e-324, 0.0]]),
+            np.array([[1e-45, 0.0]], dtype=np.float32),
+        ]
+        for weights in inputs:
+            for bits in SUPPORTED_BITS:
+                quantized = quantize_array(weights, bits)
+                codes = quantized.codes
+                qmax = 2 ** (bits - 1) - 1
+                assert np.all(quantized.scales > 0)
+                assert codes.max() <= qmax
+                assert codes.min() >= -qmax - 1
+                if bits in PACKABLE_BITS:
+                    pack_int_codes(codes, bits)
 
     def test_nbytes_scales_with_bits(self):
         weights = np.random.default_rng(4).standard_normal((8, 16))

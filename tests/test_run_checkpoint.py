@@ -268,6 +268,8 @@ class TestCheckpointMechanics:
         # a one-tier tree spelled with the removed knob alone
         {"streaming_aggregation": True, "num_edge_aggregators": 2,
          "service_codec": "wire", "edge_tiers": None},
+        # a snapshot written under the retired process-pool fold backend
+        {"aggregation_executor": "process", "aggregation_workers": 2},
     ])
     def test_resume_from_snapshot_with_retired_config_fields(
             self, vocab, tiny_config, tmp_path, retired):

@@ -1,7 +1,7 @@
 """The socket-backed aggregation service (repro.service).
 
 Covers the protocol envelope, bit-identity of service folds against the
-serial and pooled planes (shard matrix, tree pre-folds, and full runs on the
+serial plane (shard matrix, tree pre-folds, and full runs on the
 sharded 3-tier topology — the acceptance invariant), kill+resume durability
 through live servers, failover (hard-killed server mid-round → respawn +
 round replay), the ``repro_service_*`` telemetry, and the pool machinery
@@ -168,28 +168,22 @@ class TestServiceRuns:
         result = tuner.run(2)
         return result, tuner
 
-    def test_service_run_matches_serial_and_pooled(self, vocab, tiny_config):
-        """Acceptance: pooled and service backends are bit-identical to serial
-        on the sharded 3-tier topology."""
+    def test_service_run_matches_serial(self, vocab, tiny_config):
+        """Acceptance: the service backend is bit-identical to serial on the
+        sharded 3-tier topology."""
         serial_result, serial_tuner = self._run(vocab, tiny_config,
                                                 **SHARDED_3TIER)
-        pooled_result, pooled_tuner = self._run(
-            vocab, tiny_config, aggregation_executor="process",
-            aggregation_workers=2, **SHARDED_3TIER)
         service_result, service_tuner = self._run(
             vocab, tiny_config, aggregation_executor="service",
             aggregation_workers=2, service_transport="socketpair",
             **SHARDED_3TIER)
-        for a, b, c in zip(serial_result.rounds, pooled_result.rounds,
-                           service_result.rounds):
-            assert a.train_loss == b.train_loss == c.train_loss
-            assert a.metric_value == b.metric_value == c.metric_value
-            assert a.simulated_time == b.simulated_time == c.simulated_time
-            assert a.edge_bytes == b.edge_bytes == c.edge_bytes
-            assert a.tier_bytes == b.tier_bytes == c.tier_bytes
+        for a, b in zip(serial_result.rounds, service_result.rounds):
+            assert a.train_loss == b.train_loss
+            assert a.metric_value == b.metric_value
+            assert a.simulated_time == b.simulated_time
+            assert a.edge_bytes == b.edge_bytes
+            assert a.tier_bytes == b.tier_bytes
         _assert_models_equal(serial_tuner.server.global_model,
-                             service_tuner.server.global_model)
-        _assert_models_equal(pooled_tuner.server.global_model,
                              service_tuner.server.global_model)
 
     def test_service_run_over_tcp_matches_serial(self, vocab, tiny_config):
@@ -525,7 +519,7 @@ class TestServiceWindow:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u)
                       for u in _updates(model, num_participants=6)]
-            expected = pool.fold_shards("fedavg", [(0, framed)])
+            expected = pool.fold_shards("fedavg", [(0, framed, {})])
             client = pool._clients[0]
             real_send = client._send_request
             state = {"killed": False}
@@ -539,7 +533,7 @@ class TestServiceWindow:
 
             client._send_request = killer_send
             try:
-                healed = pool.fold_shards("fedavg", [(0, framed)])
+                healed = pool.fold_shards("fedavg", [(0, framed, {})])
             finally:
                 client._send_request = real_send
             assert healed == expected
@@ -563,9 +557,9 @@ class TestServiceFailover:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=3)]
-            expected = pool.fold_shards("fedavg", [(0, framed)])
+            expected = pool.fold_shards("fedavg", [(0, framed, {})])
             pool._servers[0].kill()
-            healed = pool.fold_shards("fedavg", [(0, framed)])
+            healed = pool.fold_shards("fedavg", [(0, framed, {})])
             assert healed == expected
             assert registry.counter_value("repro_service_respawns_total",
                                           server="server0") == 1
@@ -634,6 +628,7 @@ class TestServiceTelemetry:
 # ------------------------------------------------------------------ machinery
 class TestServiceMachinery:
     def test_make_aggregation_pool_service_branch(self):
+        assert make_aggregation_pool(RunConfig()) is None  # serial fold
         pool = make_aggregation_pool(RunConfig(
             aggregation_executor="service", aggregation_workers=3,
             service_transport="socketpair", service_retry_attempts=5,
@@ -661,6 +656,8 @@ class TestServiceMachinery:
             RunConfig(service_window=0)
         with pytest.raises(ValueError, match="aggregation executor"):
             RunConfig(aggregation_executor="carrier-pigeon")
+        with pytest.raises(ValueError, match="aggregation executor"):
+            RunConfig(aggregation_executor="process")  # retired backend
 
     def test_pool_validates_construction(self):
         with pytest.raises(ValueError, match="transport"):
@@ -682,7 +679,7 @@ class TestServiceMachinery:
         try:
             model = MoETransformer(tiny_config)
             framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-            pool.fold_shards("fedavg", [(0, framed)])
+            pool.fold_shards("fedavg", [(0, framed, {})])
             clone = pickle.loads(pickle.dumps(pool))
             assert clone._clients == [] and clone._servers == []
             assert clone.num_servers == 1
@@ -694,18 +691,31 @@ class TestServiceMachinery:
         pool = ServiceAggregationPool(1, transport="socketpair")
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        first = pool.fold_shards("fedavg", [(0, framed)])
+        first = pool.fold_shards("fedavg", [(0, framed, {})])
         pool.close()
         pool.close()
-        again = pool.fold_shards("fedavg", [(0, framed)])  # fresh servers
+        again = pool.fold_shards("fedavg", [(0, framed, {})])  # fresh servers
         assert again == first
         pool.close()
+
+    @pytest.mark.parametrize("transport", ["socketpair", "tcp"])
+    def test_close_drains_servers_that_never_folded(self, tiny_config, transport):
+        """A server whose client never connected still gets a clean shutdown."""
+        pool = ServiceAggregationPool(2, transport=transport)
+        model = MoETransformer(tiny_config)
+        framed = [frame_update(u) for u in _updates(model, num_participants=2)]
+        pool.fold_shards("fedavg", [(0, framed, {})])  # server 1 stays idle
+        servers = list(pool._servers)
+        pool.close()
+        assert pool._servers == [] and pool._clients == []
+        if transport == "tcp":
+            assert not any(server.alive for server in servers)
 
     def test_results_keep_job_order_across_servers(self, tiny_config,
                                                    service_pool):
         model = MoETransformer(tiny_config)
         framed = [frame_update(u) for u in _updates(model, num_participants=2)]
-        jobs = [(shard, framed) for shard in (5, 2, 9, 0)]
+        jobs = [(shard, framed, {}) for shard in (5, 2, 9, 0)]
         results = service_pool.fold_shards("fedavg", jobs)
         assert [shard for shard, _ in results] == [5, 2, 9, 0]
         folded = results[0][1]
